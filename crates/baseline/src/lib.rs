@@ -12,23 +12,19 @@
 //! * [`louvain`] — Blondel et al.'s local-moving + aggregation heuristic
 //!   \[17\], the strongest quality baseline.
 //! * [`labelprop`] — weighted label propagation, a cheap extra baseline.
-//! * [`plouvain`] — relaxed *parallel* Louvain (Grappolo-style), the
-//!   state-of-the-practice comparison for the matching-based detector.
 //! * [`seedset`] — Andersen–Lang seed-set expansion via approximate
 //!   personalised PageRank and a conductance sweep (paper reference \[22\]).
 //!
-//! All return assignment vectors compatible with `pcd-metrics`. The
-//! sequential methods are deterministic; `plouvain` is intentionally racy
-//! (that is its design point) and only its quality is asserted.
+//! All return assignment vectors compatible with `pcd-metrics` and are
+//! deterministic. The parallel Louvain comparison is the registry's
+//! synchronous `louvain` matching backend in `pcd-core`.
 
 pub mod cnm;
 pub mod labelprop;
 pub mod louvain;
-pub mod plouvain;
 pub mod seedset;
 
 pub use cnm::cnm;
 pub use labelprop::label_propagation;
 pub use louvain::louvain;
-pub use plouvain::louvain_parallel;
 pub use seedset::{approximate_ppr, seed_expand, SeedCommunity};

@@ -1,9 +1,8 @@
 //! JSON benchmark gate for the zero-allocation level loop.
 //!
 //! Runs end-to-end detection on pinned R-MAT and SBM instances across a
-//! set of thread counts, with five level-loop arms — scratch **reuse**
-//! (the default, retained arenas + graph ping-pong), **fresh** (the
-//! ablation that rebuilds every buffer each level), **observed**
+//! set of thread counts, with four level-loop arms — **reuse** (the
+//! default engine: retained arenas + graph ping-pong), **observed**
 //! (reuse plus a full `pcd-trace` recorder attached, gating the
 //! observability layer's end-to-end overhead against the plain reuse
 //! arm), and **budgeted-unarmed** (reuse plus an armed but non-binding
@@ -436,20 +435,19 @@ fn report_cell(r: &Record) {
     );
 }
 
-/// The five single-instance arms as (name, reuse, observed, budgeted,
-/// radix). "observed" is "reuse" with the full pcd-trace recorder
-/// attached; "budgeted-unarmed" is "reuse" with an armed but non-binding
-/// budget. Each pair with "reuse" gates that subsystem's end-to-end
+/// The four single-instance arms as (name, observed, budgeted, radix).
+/// "reuse" is the default engine; "observed" is "reuse" with the full
+/// pcd-trace recorder attached; "budgeted-unarmed" is "reuse" with an
+/// armed but non-binding budget. Each pair with "reuse" gates that subsystem's end-to-end
 /// overhead. "contract-radix" is "reuse" with the radix-sort contraction
 /// kernel in place of bucket — `cargo xtask bench
 /// --min-contract-speedup` gates its contract-phase seconds against the
 /// reuse arm's.
-const CELL_ARMS: [(&str, bool, bool, bool, bool); 5] = [
-    ("reuse", true, false, false, false),
-    ("fresh", false, false, false, false),
-    ("observed", true, true, false, false),
-    ("budgeted-unarmed", true, false, true, false),
-    ("contract-radix", true, false, false, true),
+const CELL_ARMS: [(&str, bool, bool, bool); 4] = [
+    ("reuse", false, false, false),
+    ("observed", true, false, false),
+    ("budgeted-unarmed", false, true, false),
+    ("contract-radix", false, false, true),
 ];
 
 /// Arms whose record carries `overhead_vs_reuse`.
@@ -468,14 +466,8 @@ fn measure_cell(
     runs: usize,
 ) -> (Vec<Record>, Option<Registry>) {
     debug_assert_eq!(
-        CELL_ARMS.map(|(a, _, _, _, _)| a),
-        [
-            "reuse",
-            "fresh",
-            "observed",
-            "budgeted-unarmed",
-            "contract-radix"
-        ]
+        CELL_ARMS.map(|(a, _, _, _)| a),
+        ["reuse", "observed", "budgeted-unarmed", "contract-radix"]
     );
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); CELL_ARMS.len()];
     let mut lasts: Vec<Option<(DetectionResult, PhaseTimes, Option<Registry>)>> =
@@ -483,20 +475,19 @@ fn measure_cell(
     let mut allocations: Vec<Option<u64>> = vec![None; CELL_ARMS.len()];
     for round in 0..runs {
         // The gated arms (observed, budgeted-unarmed) alternate which of
-        // them brackets reuse, with fresh always leading, so every gated
-        // arm spends half its rounds adjacent to reuse on each side and
+        // them brackets reuse, so every gated arm spends half its rounds adjacent to reuse on each side and
         // none systematically occupies the warmer late position.
         // contract-radix alternates between the tail and the slot right
         // before reuse: its speedup gate compares contract-phase seconds
         // against reuse, so the two arms should sample the same epochs.
-        let order: [usize; 5] = if round % 2 == 0 {
-            [1, 0, 2, 3, 4]
+        let order: [usize; 4] = if round % 2 == 0 {
+            [0, 1, 2, 3]
         } else {
-            [1, 4, 3, 0, 2]
+            [3, 2, 0, 1]
         };
         for i in order {
-            let (_, reuse, observed, budgeted, radix) = CELL_ARMS[i];
-            let (secs, allocs, outcome) = run_once(g, threads, reuse, observed, budgeted, radix);
+            let (_, observed, budgeted, radix) = CELL_ARMS[i];
+            let (secs, allocs, outcome) = run_once(g, threads, observed, budgeted, radix);
             samples[i].push(secs);
             allocations[i] = allocs;
             lasts[i] = Some(outcome);
@@ -513,11 +504,11 @@ fn measure_cell(
     let fastest = |xs: &[f64]| xs.iter().copied().min_by(f64::total_cmp);
     let reuse_min = CELL_ARMS
         .iter()
-        .position(|&(a, _, _, _, _)| a == "reuse")
+        .position(|&(a, _, _, _)| a == "reuse")
         .and_then(|r| fastest(&samples[r]));
     let mut registry = None;
     let mut records = Vec::with_capacity(CELL_ARMS.len());
-    for (i, &(arm, _, _, _, _)) in CELL_ARMS.iter().enumerate() {
+    for (i, &(arm, _, _, _)) in CELL_ARMS.iter().enumerate() {
         let (result, phases, reg) = lasts[i].take().expect("runs >= 1");
         if reg.is_some() {
             registry = reg;
@@ -659,7 +650,6 @@ fn run_once_sharded(
 fn run_once(
     g: &Graph,
     threads: usize,
-    reuse: bool,
     observed: bool,
     budgeted: bool,
     radix: bool,
@@ -669,7 +659,7 @@ fn run_once(
     (DetectionResult, PhaseTimes, Option<Registry>),
 ) {
     let graph = g.clone();
-    let mut cfg = Config::default().with_scratch_reuse(reuse);
+    let mut cfg = Config::default();
     if radix {
         cfg = cfg.with_contractor(ContractorKind::Radix);
     }

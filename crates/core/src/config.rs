@@ -137,12 +137,6 @@ pub struct Config {
     /// changes which partition the greedy agglomeration converges to
     /// (quality stays within the gated band, see `tests/dispatch_parity.rs`).
     pub vertex_following: bool,
-    /// Reuse the driver's per-level scratch arenas ([`crate::LevelScratch`])
-    /// across levels (default). When `false`, every level rebuilds the
-    /// arenas from empty — the pre-reuse allocation behaviour, kept as the
-    /// ablation arm for the memory benchmarks. Both settings produce
-    /// bit-identical results.
-    pub reuse_scratch: bool,
     /// Resource budget: wall-clock deadline, level cap, scratch-memory
     /// ceiling, cancellation. Unarmed by default — zero overhead and
     /// bit-identical results (see [`Budget`]).
@@ -174,7 +168,6 @@ impl Default for Config {
             paranoia: Paranoia::Off,
             max_match_rounds: None,
             vertex_following: false,
-            reuse_scratch: true,
             budget: Budget::unarmed(),
             sharding: false,
             #[cfg(feature = "fault-injection")]
@@ -265,14 +258,6 @@ impl Config {
     /// and assignments expand back through the follow map afterwards.
     pub fn with_vertex_following(mut self, on: bool) -> Self {
         self.vertex_following = on;
-        self
-    }
-
-    #[must_use]
-    /// Enables or disables cross-level scratch-arena reuse (on by
-    /// default; `false` is the fresh-allocation ablation arm).
-    pub fn with_scratch_reuse(mut self, on: bool) -> Self {
-        self.reuse_scratch = on;
         self
     }
 

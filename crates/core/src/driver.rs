@@ -310,33 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_matches_fresh_allocation() {
-        // The arena ablation: reuse on (default) and off must be
-        // bit-identical, across kernels and paranoia levels.
-        let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(9, 41));
-        for base in [
-            Config::default(),
-            Config::default().with_paranoia(Paranoia::Full),
-            Config::default()
-                .with_matcher(MatcherKind::EdgeSweep)
-                .with_contractor(ContractorKind::Linked),
-            Config::default().with_contractor(ContractorKind::BucketFetchAdd),
-            Config::default().with_recorded_levels(),
-        ] {
-            let reused = detect(g.clone(), &base.clone().with_scratch_reuse(true));
-            let fresh = detect(g.clone(), &base.with_scratch_reuse(false));
-            assert_eq!(reused.assignment, fresh.assignment);
-            assert_eq!(reused.modularity, fresh.modularity);
-            assert_eq!(reused.num_communities, fresh.num_communities);
-            assert_eq!(reused.level_maps, fresh.level_maps);
-            assert_eq!(
-                reused.community_vertex_counts,
-                fresh.community_vertex_counts
-            );
-        }
-    }
-
-    #[test]
     fn min_communities_criterion() {
         let g = pcd_gen::classic::clique_ring(16, 4);
         let r = detect(

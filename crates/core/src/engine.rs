@@ -146,9 +146,7 @@ impl Detector {
                 // The input graph's storage becomes the shadow for the
                 // first contraction.
                 let retired = std::mem::replace(&mut g, pruned);
-                if config.reuse_scratch {
-                    scratch.store_parts(retired);
-                }
+                scratch.store_parts(retired);
             }
         }
         scratch.ctx.refresh(&g);
@@ -164,13 +162,6 @@ impl Detector {
         let mut breach: Option<Termination> = None;
 
         loop {
-            if !config.reuse_scratch {
-                // Ablation arm: rebuild the arena from empty every level,
-                // the pre-reuse allocation behaviour. Same code path,
-                // identical outputs.
-                *scratch = LevelScratch::new();
-                scratch.ctx.refresh(&g);
-            }
             let level = levels.len() + 1;
             // Boundary check: deadline/cancellation, plus the level cap
             // (checked against *completed* levels, so a cap of 0 returns
@@ -280,9 +271,7 @@ impl Detector {
             // Ping-pong: the outgoing graph's storage becomes the shadow
             // for the next contraction.
             let retired = std::mem::replace(&mut g, next);
-            if config.reuse_scratch {
-                scratch.store_parts(retired);
-            }
+            scratch.store_parts(retired);
             debug_assert_eq!(scratch.ctx.vol, g.volumes(), "volume fold drifted");
 
             let coverage = g.coverage();

@@ -58,7 +58,6 @@ pub use louvain::{synchronous_move_phase, MoveStats};
 pub use multilevel::{detect_multilevel, refine_multilevel, MultilevelOutcome};
 pub use observer::{LevelObserver, NoopObserver, Tee};
 pub use pcd_util::sync::CancelToken;
-pub use refine::{detect_refined, refine, refine_detected, Refinement};
 pub use result::{DetectionResult, LevelStats, StopReason, Termination};
 pub use scorer::{score_all_into, ScoreContext};
 pub use shard::{

@@ -13,8 +13,8 @@
 use crate::engine::Detector;
 use crate::refine::refine;
 use crate::{Config, DetectionResult};
-use pcd_graph::Graph;
-use pcd_spmat::contract_spgemm;
+use pcd_contract::{contract_map_into, ContractScratch};
+use pcd_graph::{Graph, GraphParts};
 use pcd_util::par::prelude::*;
 use pcd_util::VertexId;
 
@@ -64,6 +64,7 @@ pub fn refine_multilevel(
     let coarse_n = result.num_communities;
     let mut part_at_level: Vec<VertexId> = (0..coarse_n as u32).collect();
     let mut q_trajectory = Vec::with_capacity(depth + 1);
+    let mut scratch = ContractScratch::new();
 
     // Walk levels from coarsest (k = depth) down to the original (k = 0).
     for k in (0..=depth).rev() {
@@ -79,7 +80,13 @@ pub fn refine_multilevel(
         let level_graph = if k == 0 {
             original.clone()
         } else {
-            contract_spgemm(original, &level_assignment, num_level_vertices)
+            contract_map_into(
+                original,
+                &level_assignment,
+                num_level_vertices,
+                &mut scratch,
+                GraphParts::default(),
+            )
         };
         // Project the running partition onto this level's vertices: at the
         // coarsest it is the identity; at finer levels each vertex

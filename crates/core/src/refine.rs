@@ -138,18 +138,6 @@ fn best_move(
     best
 }
 
-/// Convenience: run agglomerative detection, then refinement, returning
-/// the refined result with a re-compacted assignment.
-pub fn detect_refined(
-    graph: Graph,
-    config: &crate::Config,
-    refine_sweeps: usize,
-) -> (crate::DetectionResult, Refinement) {
-    let original = graph.clone();
-    let result = crate::detect(graph, config);
-    refine_detected(&original, result, refine_sweeps)
-}
-
 /// Refines an already-computed detection of `original` (e.g. one produced
 /// by an observed [`crate::Detector`] run), folding the refined partition
 /// back into the result's assignment, counts, and quality fields.
@@ -215,10 +203,10 @@ mod tests {
     }
 
     #[test]
-    fn detect_refined_improves_or_matches() {
+    fn refine_detected_improves_or_matches() {
         let g = pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(10, 31));
         let plain = crate::detect(g.clone(), &Config::default());
-        let (refined, refinement) = detect_refined(g, &Config::default(), 5);
+        let (refined, refinement) = refine_detected(&g, plain.clone(), 5);
         assert!(refined.modularity >= plain.modularity - 1e-12);
         assert_eq!(refinement.q_after, refined.modularity);
         assert_eq!(

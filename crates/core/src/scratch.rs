@@ -20,9 +20,10 @@
 //!
 //! After the first level, a steady-state iteration of the loop performs no
 //! heap allocation in score, match, or contract (asserted by the
-//! `alloc-stats` regression test). [`crate::Config::reuse_scratch`] =
-//! `false` rebuilds the arena every level — the pre-reuse behaviour, kept
-//! as the ablation arm; both settings are bit-identical.
+//! `alloc-stats` regression test). Reuse is unconditional and invisible:
+//! `tests/scratch_parity.rs` proves a warm multi-level run bit-identical
+//! to a chain of brand-new one-level engines, each starting from empty
+//! arenas on the previous level's community graph.
 
 use crate::follow::FollowScratch;
 use crate::scorer::ScoreContext;

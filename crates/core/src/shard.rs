@@ -138,14 +138,8 @@ where
         maps.push(old_of_new);
         results.push(outcome?);
     }
-    let merged = merge_results(
-        nv,
-        ne,
-        &maps,
-        &results,
-        config.record_levels,
-        t_total.elapsed_secs(),
-    );
+    let mut merged = merge_results(nv, ne, &maps, &results, config.record_levels);
+    merged.total_secs = t_total.elapsed_secs();
     Ok((merged, observers))
 }
 
@@ -320,7 +314,6 @@ fn merge_results(
     maps: &[Vec<VertexId>],
     results: &[DetectionResult],
     record_levels: bool,
-    total_secs: f64,
 ) -> DetectionResult {
     // Community-id offsets: prefix sums in component order.
     let mut community_offset = Vec::with_capacity(results.len());
@@ -397,7 +390,8 @@ fn merge_results(
         level_maps,
         stop_reason,
         termination,
-        total_secs,
+        // Stamped by the caller once the merge itself has finished.
+        total_secs: 0.0,
     }
 }
 

@@ -808,8 +808,11 @@ fn compare_report(g: Graph) -> Result<(), PcdError> {
     let a = parcomm::baseline::louvain(&g);
     report("louvain (seq)", &a, t.elapsed().as_secs_f64());
     let t = std::time::Instant::now();
-    let a = parcomm::baseline::louvain_parallel(&g);
-    report("louvain (par)", &a, t.elapsed().as_secs_f64());
+    let r = detect(
+        g.clone(),
+        &Config::default().with_matcher(MatcherKind::LouvainMove),
+    );
+    report("louvain (backend)", &r.assignment, t.elapsed().as_secs_f64());
     let t = std::time::Instant::now();
     let a = parcomm::baseline::label_propagation(&g, 30);
     report("labelprop", &a, t.elapsed().as_secs_f64());

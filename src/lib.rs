@@ -37,7 +37,6 @@ pub use pcd_gen as gen;
 pub use pcd_graph as graph;
 pub use pcd_matching as matching;
 pub use pcd_metrics as metrics;
-pub use pcd_spmat as spmat;
 pub use pcd_trace as trace;
 pub use pcd_util as util;
 

@@ -23,20 +23,19 @@ use parcomm::util::alloc_stats::{snapshot, CountingAlloc};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// The counters are process-global and the test harness runs tests on
-/// parallel threads, so each test holds this lock: another test's
-/// allocations must not land in a measured window.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// The counters are process-global, so the checks run in sequence from
+/// one test: with several tests, libtest's main thread allocates while
+/// starting the next test's thread, and those allocations would land in
+/// whichever window another test is measuring.
+#[test]
+fn allocation_checks() {
+    counting_allocator_observes_traffic();
+    steady_state_levels_allocate_nothing();
+    trace_observer_adds_zero_steady_state_allocations();
+    recorder_primitives_never_allocate_after_construction();
 }
 
-#[test]
 fn steady_state_levels_allocate_nothing() {
-    let _serial = serial();
     // Single worker: the counters are process-global, so other pool
     // workers' bookkeeping must not pollute the phase windows.
     parcomm::util::pool::with_threads(1, || {
@@ -138,9 +137,7 @@ fn steady_state_levels_allocate_nothing() {
     });
 }
 
-#[test]
 fn trace_observer_adds_zero_steady_state_allocations() {
-    let _serial = serial();
     // Differential form of the zero-overhead claim: a warm engine run with
     // the full recorder attached performs exactly as many heap allocations
     // as the same run with the NoopObserver — the recorder itself adds
@@ -172,9 +169,7 @@ fn trace_observer_adds_zero_steady_state_allocations() {
     });
 }
 
-#[test]
 fn recorder_primitives_never_allocate_after_construction() {
-    let _serial = serial();
     use parcomm::trace::{Registry, SpanKind, SpanRecord, SpanRing};
     let mut ring = SpanRing::with_capacity(64);
     let mut reg = Registry::new();
@@ -208,9 +203,7 @@ fn recorder_primitives_never_allocate_after_construction() {
     assert_eq!(reg.dropped_observations(), 10_000);
 }
 
-#[test]
 fn counting_allocator_observes_traffic() {
-    let _serial = serial();
     // Sanity-check the harness itself: a fresh Vec must register.
     let before = snapshot();
     let v: Vec<u64> = Vec::with_capacity(1024);

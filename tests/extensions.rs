@@ -1,6 +1,6 @@
 //! Integration tests for the extension features: multilevel refinement,
-//! vertex reordering, community extraction, seed expansion, and the
-//! parallel Louvain baseline — all wired through the public facade.
+//! vertex reordering, community extraction, seed expansion, and
+//! arbitrary-map aggregation — all wired through the public facade.
 
 use parcomm::core::multilevel::detect_multilevel;
 use parcomm::graph::extract::extract_communities;
@@ -102,22 +102,19 @@ fn seed_expansion_returns_whole_cliques() {
 }
 
 #[test]
-fn parallel_louvain_consistent_with_sequential_quality() {
-    let lfr = parcomm::gen::lfr_graph(&parcomm::gen::LfrParams::benchmark(3_000, 0.2, 11));
-    let q_seq = parcomm::metrics::modularity(&lfr.graph, &parcomm::baseline::louvain(&lfr.graph));
-    let q_par =
-        parcomm::metrics::modularity(&lfr.graph, &parcomm::baseline::louvain_parallel(&lfr.graph));
-    assert!((q_seq - q_par).abs() < 0.1, "{q_seq} vs {q_par}");
-}
-
-#[test]
-fn spgemm_contraction_usable_as_louvain_aggregation() {
-    // Aggregate an SBM by its planted truth via SpGEMM; detection on the
-    // aggregate should find very coarse structure quickly and modularity
-    // of the planted partition must be preserved by aggregation.
+fn map_contraction_usable_as_louvain_aggregation() {
+    // Aggregate an SBM by its planted truth through the generic map
+    // contraction (Louvain's aggregation step): modularity of the planted
+    // partition must be preserved by aggregation.
     let sbm = parcomm::gen::sbm_graph(&parcomm::gen::SbmParams::livejournal_like(2_000, 9));
     let (truth, k) = parcomm::metrics::compact_labels(&sbm.ground_truth);
-    let agg = parcomm::spmat::contract_spgemm(&sbm.graph, &truth, k);
+    let agg = parcomm::contract::contract_map_into(
+        &sbm.graph,
+        &truth,
+        k,
+        &mut parcomm::contract::ContractScratch::new(),
+        parcomm::graph::GraphParts::default(),
+    );
     let q_fine = parcomm::metrics::modularity(&sbm.graph, &truth);
     let q_coarse = parcomm::metrics::community_graph_modularity(&agg);
     assert!((q_fine - q_coarse).abs() < 1e-9);

@@ -218,6 +218,52 @@ fn follow_map_is_a_dense_weight_conserving_surjection() {
 }
 
 #[test]
+fn map_contraction_conserves_weight() {
+    check_cases("map_contraction_conserves_weight", CASES, |rng| {
+        // Arbitrary many-to-one maps (not necessarily onto), including
+        // the empty graph, edgeless graphs and k = 1.
+        let (nv, edges) = match rng.gen_range(0u32..8) {
+            0 => (0, Vec::new()),
+            1 => (rng.gen_range(1usize..10), Vec::new()),
+            _ => arb_graph_input(rng),
+        };
+        let g = builder::from_edges(nv, edges);
+        let k = match nv {
+            0 => 0,
+            _ if rng.gen_range(0u32..4) == 0 => 1,
+            _ => rng.gen_range(1..nv + 1),
+        };
+        let map: Vec<u32> = (0..nv).map(|_| rng.gen_range(0..k as u32)).collect();
+        let mut scratch = parcomm::contract::ContractScratch::new();
+        let c =
+            parcomm::contract::contract_map_into(&g, &map, k, &mut scratch, Default::default());
+        assert_eq!(c.num_vertices(), k);
+        assert_eq!(c.total_weight(), g.total_weight());
+        assert_eq!(c.validate(), Ok(()));
+        // Modularity is invariant under aggregation of the same partition.
+        let q_orig = parcomm::metrics::modularity(&g, &map);
+        let q_agg = parcomm::metrics::community_graph_modularity(&c);
+        assert!((q_orig - q_agg).abs() < 1e-9, "{q_orig} vs {q_agg}");
+        // Bit-identical to building the mapped edge list from scratch.
+        let mapped = g
+            .edges()
+            .map(|(u, v, w)| (map[u as usize], map[v as usize], w))
+            .chain(
+                g.self_loops()
+                    .iter()
+                    .enumerate()
+                    .map(|(v, &s)| (map[v], map[v], s)),
+            )
+            .collect();
+        let expect = builder::from_edges(k, mapped);
+        assert_eq!(c.srcs(), expect.srcs());
+        assert_eq!(c.dsts(), expect.dsts());
+        assert_eq!(c.weights(), expect.weights());
+        assert_eq!(c.self_loops(), expect.self_loops());
+    });
+}
+
+#[test]
 fn vertex_following_detection_yields_valid_partition() {
     check_cases(
         "vertex_following_detection_yields_valid_partition",

@@ -81,7 +81,6 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/matching/src/parallel.rs", "alloc", 3),
     ("crates/matching/src/seq.rs", "panic", 1),
     ("crates/metrics/src/sizes.rs", "panic", 2),
-    ("crates/spmat/src/csr_matrix.rs", "panic", 2),
     ("crates/trace/src/observer.rs", "panic", 3),
     ("crates/util/src/pool.rs", "panic", 1),
     ("crates/util/src/scan.rs", "panic", 1),

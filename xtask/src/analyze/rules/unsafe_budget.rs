@@ -21,7 +21,6 @@ pub(crate) const UNSAFE_BUDGET: &[(&str, usize)] = &[
     ("crates/contract/src/radix.rs", 1),
     ("crates/graph/src/csr.rs", 3),
     ("crates/graph/src/reorder.rs", 3),
-    ("crates/spmat/src/csr_matrix.rs", 3),
     ("crates/util/src/alloc_stats.rs", 9),
     ("crates/util/src/par.rs", 3),
     ("crates/util/src/scan.rs", 1),
