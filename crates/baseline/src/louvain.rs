@@ -102,10 +102,8 @@ pub(crate) fn aggregate(g: &Graph, assignment: &[VertexId], k: usize) -> Graph {
     for (i, j, w) in g.edges() {
         edges.push((assignment[i as usize], assignment[j as usize], w));
     }
-    for v in 0..g.num_vertices() {
-        let s = g.self_loop(v as u32);
+    for (&s, &c) in g.self_loops().iter().zip(assignment) {
         if s > 0 {
-            let c = assignment[v];
             edges.push((c, c, s));
         }
     }

@@ -78,7 +78,7 @@ use std::process::ExitCode;
 
 use pcd_core::{
     detect_many, kernel, refine::refine, try_detect_sharded_observed, Budget, CancelToken, Config,
-    ContractorKind, DetectionResult, Detector, LevelObserver, Matcher as _, Tee,
+    ContractorKind, DetectionResult, Detector, LevelObserver, Tee,
 };
 use pcd_gen::classic::clique_ring;
 use pcd_gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
@@ -882,7 +882,11 @@ fn render(
         let _ = writeln!(s, "      \"backend\": {},", json_str(c.backend));
         let _ = writeln!(s, "      \"modularity\": {},", json_f64(c.modularity));
         let _ = writeln!(s, "      \"coverage\": {},", json_f64(c.coverage));
-        let _ = writeln!(s, "      \"nmi\": {},", c.nmi.map_or("null".into(), json_f64));
+        let _ = writeln!(
+            s,
+            "      \"nmi\": {},",
+            c.nmi.map_or("null".into(), json_f64)
+        );
         let _ = writeln!(
             s,
             "      \"reference_modularity\": {}",

@@ -9,6 +9,7 @@ use pcd_gen::{rmat_graph, sbm_graph, web_graph, RmatParams, SbmParams, WebParams
 use pcd_graph::Graph;
 
 /// A graph with its display name and optional planted ground truth.
+#[derive(Debug)]
 pub struct NamedGraph {
     pub name: String,
     pub graph: Graph,

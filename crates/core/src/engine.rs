@@ -41,6 +41,7 @@ use pcd_util::{PcdError, Phase, VertexId, Weight};
 /// re-initialises the scratch state it reads (score context, per-level
 /// buffers), so outputs are bit-identical to a fresh engine (proven by
 /// `tests/dispatch_parity.rs`); only buffer *capacity* carries over.
+#[derive(Debug)]
 pub struct Detector {
     config: Config,
     kernels: KernelSet,

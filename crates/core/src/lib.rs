@@ -60,9 +60,9 @@ pub use observer::{LevelObserver, NoopObserver, Tee};
 pub use pcd_util::sync::CancelToken;
 pub use result::{DetectionResult, LevelStats, StopReason, Termination};
 pub use scorer::{score_all_into, ScoreContext};
+pub use scratch::LevelScratch;
 pub use shard::{
     detect_sharded, detect_sharded_outcomes, try_detect_sharded, try_detect_sharded_observed,
     ComponentOutcome,
 };
-pub use scratch::LevelScratch;
 pub use termination::Criterion;

@@ -114,10 +114,9 @@ mod tests {
         let g = pcd_gen::classic::two_cliques(4);
         let ctx = ScoreContext::new(&g);
         let scores = score_all(ScorerKind::Modularity, &g, &ctx);
-        for e in 0..g.num_edges() {
-            let (i, j, w) = g.edge(e);
+        for ((i, j, w), &score) in g.edges().zip(&scores) {
             let expect = delta_modularity(ctx.m, w, ctx.vol[i as usize], ctx.vol[j as usize]);
-            assert_eq!(scores[e], expect);
+            assert_eq!(score, expect);
         }
     }
 

@@ -165,6 +165,9 @@ pub fn detect_sharded_outcomes(
         .collect())
 }
 
+/// One part's `(old_of_new, outcome, observer)`.
+type ComponentRun<O> = (Vec<VertexId>, Result<DetectionResult, PcdError>, Option<O>);
+
 /// Detect stage: runs every part largest component first (classic LPT
 /// scheduling — the longest-running shard starts earliest, minimizing the
 /// tail), panic-isolated per component: big components one at a time with
@@ -181,7 +184,7 @@ fn run_components<O, F>(
     parts: Vec<ComponentPart>,
     config: &Config,
     make_observer: &F,
-) -> Vec<(Vec<VertexId>, Result<DetectionResult, PcdError>, Option<O>)>
+) -> Vec<ComponentRun<O>>
 where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,

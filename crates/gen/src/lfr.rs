@@ -56,6 +56,7 @@ impl LfrParams {
 }
 
 /// A generated LFR-style graph with its planted assignment.
+#[derive(Debug)]
 pub struct LfrGraph {
     /// The generated graph.
     pub graph: Graph,

@@ -17,7 +17,7 @@ use pcd_util::{VertexId, Weight};
 /// Draws a Poisson variate (Knuth's method; fine for the small λ used here).
 pub(crate) fn poisson(rng: &mut ChaCha8Rng, lambda: f64) -> usize {
     debug_assert!(
-        lambda >= 0.0 && lambda < 64.0,
+        (0.0..64.0).contains(&lambda),
         "poisson λ out of supported range"
     );
     if lambda == 0.0 {
@@ -100,6 +100,7 @@ impl SbmParams {
 }
 
 /// A generated planted-partition graph plus its ground truth.
+#[derive(Debug)]
 pub struct SbmGraph {
     /// The generated graph.
     pub graph: Graph,

@@ -65,6 +65,7 @@ impl WebParams {
 }
 
 /// A generated web-like graph plus its planted hierarchy.
+#[derive(Debug)]
 pub struct WebGraph {
     /// The generated graph.
     pub graph: Graph,

@@ -9,6 +9,7 @@ use pcd_util::scan::offsets_from_counts;
 use pcd_util::VertexId;
 
 /// One extracted community subgraph.
+#[derive(Debug)]
 pub struct CommunitySubgraph {
     /// Community id this subgraph was carved from.
     pub community: VertexId,

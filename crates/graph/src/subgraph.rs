@@ -10,6 +10,7 @@ use pcd_util::scan::offsets_from_counts;
 use pcd_util::{VertexId, NO_VERTEX};
 
 /// Result of extracting a vertex-induced subgraph.
+#[derive(Debug)]
 pub struct Extracted {
     /// The induced subgraph with dense new ids `0..n'`.
     pub graph: Graph,

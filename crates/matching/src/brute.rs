@@ -87,13 +87,16 @@ mod tests {
         // Path a-b-c-d with scores 1, 1.5, 1: greedy takes the middle
         // (1.5); optimum takes the outer pair (2.0).
         let g = pcd_gen::classic::path(4);
-        let mut s = vec![1.0; g.num_edges()];
-        for e in 0..g.num_edges() {
-            let (i, j, _) = g.edge(e);
-            if (i.min(j), i.max(j)) == (1, 2) {
-                s[e] = 1.5;
-            }
-        }
+        let s: Vec<f64> = g
+            .edges()
+            .map(|(i, j, _)| {
+                if (i.min(j), i.max(j)) == (1, 2) {
+                    1.5
+                } else {
+                    1.0
+                }
+            })
+            .collect();
         assert_eq!(max_weight_matching_score(&g, &s), 2.0);
         let greedy = match_sequential_greedy(&g, &s);
         assert_eq!(greedy.total_score(&s), 1.5);

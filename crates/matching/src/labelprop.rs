@@ -206,52 +206,49 @@ pub fn propagate_labels(
         // the current label's support, so ties never cause churn.
         {
             let labels_ro: &[VertexId] = labels;
-            labels_next
-                .par_iter_mut()
-                .enumerate()
-                .for_each_init(
-                    // analyze: allow(alloc, reason = "per-task gather buffer; one allocation per parallel chunk, not per vertex")
-                    Vec::new,
-                    |buf: &mut Vec<(VertexId, Weight)>, (v, slot)| {
-                        let cur = labels_ro[v];
-                        *slot = cur;
-                        buf.clear();
-                        for s in offsets[v]..offsets[v + 1] {
-                            let e = eid[s];
-                            if scores[e] > 0.0 {
-                                // analyze: allow(alloc, reason = "per-task gather buffer; amortized by clear+reuse across vertices")
-                                buf.push((labels_ro[nbr[s] as usize], weights[e]));
-                            }
+            labels_next.par_iter_mut().enumerate().for_each_init(
+                // analyze: allow(alloc, reason = "per-task gather buffer; one allocation per parallel chunk, not per vertex")
+                Vec::new,
+                |buf: &mut Vec<(VertexId, Weight)>, (v, slot)| {
+                    let cur = labels_ro[v];
+                    *slot = cur;
+                    buf.clear();
+                    for s in offsets[v]..offsets[v + 1] {
+                        let e = eid[s];
+                        if scores[e] > 0.0 {
+                            // analyze: allow(alloc, reason = "per-task gather buffer; amortized by clear+reuse across vertices")
+                            buf.push((labels_ro[nbr[s] as usize], weights[e]));
                         }
-                        if buf.is_empty() {
-                            return;
+                    }
+                    if buf.is_empty() {
+                        return;
+                    }
+                    // Within-label order is irrelevant (integer sums
+                    // commute); sorting groups the runs.
+                    buf.sort_unstable();
+                    let (mut best_label, mut best_w) = (cur, 0 as Weight);
+                    let mut cur_w: Weight = 0;
+                    let mut i = 0;
+                    while i < buf.len() {
+                        let lab = buf[i].0;
+                        let mut w: Weight = 0;
+                        while i < buf.len() && buf[i].0 == lab {
+                            w += buf[i].1;
+                            i += 1;
                         }
-                        // Within-label order is irrelevant (integer sums
-                        // commute); sorting groups the runs.
-                        buf.sort_unstable();
-                        let (mut best_label, mut best_w) = (cur, 0 as Weight);
-                        let mut cur_w: Weight = 0;
-                        let mut i = 0;
-                        while i < buf.len() {
-                            let lab = buf[i].0;
-                            let mut w: Weight = 0;
-                            while i < buf.len() && buf[i].0 == lab {
-                                w += buf[i].1;
-                                i += 1;
-                            }
-                            if lab == cur {
-                                cur_w = w;
-                            }
-                            if w > best_w || (w == best_w && lab < best_label) {
-                                best_w = w;
-                                best_label = lab;
-                            }
+                        if lab == cur {
+                            cur_w = w;
                         }
-                        if best_label != cur && best_w > cur_w {
-                            *slot = best_label;
+                        if w > best_w || (w == best_w && lab < best_label) {
+                            best_w = w;
+                            best_label = lab;
                         }
-                    },
-                );
+                    }
+                    if best_label != cur && best_w > cur_w {
+                        *slot = best_label;
+                    }
+                },
+            );
         }
         let proposals = labels
             .par_iter()
@@ -471,7 +468,10 @@ mod tests {
         let s = weight_scores(&g);
         let mut scratch = MatchScratch::new();
         let out = match_labelprop_scratch(&g, &s, 1, &mut scratch);
-        assert!(out.degraded, "a round that commits changes is not converged");
+        assert!(
+            out.degraded,
+            "a round that commits changes is not converged"
+        );
         assert_eq!(out.rounds, 1);
         assert!(verify_matching(&g, &s, &out.matching).is_ok());
     }

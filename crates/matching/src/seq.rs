@@ -42,12 +42,11 @@ mod tests {
     #[test]
     fn greedy_picks_heaviest_first() {
         let g = pcd_gen::classic::path(3); // edges 0-1, 1-2
-        let mut s = vec![0.0; g.num_edges()];
-        // Give the edge incident to vertex 2 the higher score.
-        for e in 0..g.num_edges() {
-            let (i, j, _) = g.edge(e);
-            s[e] = if i.max(j) == 2 { 2.0 } else { 1.0 };
-        }
+                                           // Give the edge incident to vertex 2 the higher score.
+        let s: Vec<f64> = g
+            .edges()
+            .map(|(i, j, _)| if i.max(j) == 2 { 2.0 } else { 1.0 })
+            .collect();
         let m = match_sequential_greedy(&g, &s);
         assert_eq!(m.mate(1), Some(2));
         assert_eq!(m.mate(0), None);
@@ -82,15 +81,16 @@ mod tests {
         // greedy takes bc, weight 2 >= 2/2. Verify greedy >= half of a
         // brute-force optimum on a few small graphs.
         let g = pcd_gen::classic::path(4);
-        let mut s = vec![0.0; g.num_edges()];
-        for e in 0..g.num_edges() {
-            let (i, j, _) = g.edge(e);
-            s[e] = if (i.min(j), i.max(j)) == (1, 2) {
-                2.0
-            } else {
-                1.0
-            };
-        }
+        let s: Vec<f64> = g
+            .edges()
+            .map(|(i, j, _)| {
+                if (i.min(j), i.max(j)) == (1, 2) {
+                    2.0
+                } else {
+                    1.0
+                }
+            })
+            .collect();
         let m = match_sequential_greedy(&g, &s);
         assert_eq!(m.total_score(&s), 2.0);
     }

@@ -61,11 +61,10 @@ pub fn verify_matching(g: &Graph, scores: &[f64], m: &Matching) -> Result<(), St
         ));
     }
     // 4. maximality.
-    for e in 0..g.num_edges() {
+    for (e, (i, j, _)) in g.edges().enumerate() {
         if scores[e] <= 0.0 {
             continue;
         }
-        let (i, j, _) = g.edge(e);
         if m.mates()[i as usize] == NO_VERTEX && m.mates()[j as usize] == NO_VERTEX {
             return Err(format!("matching not maximal: edge {e} = ({i},{j}) free"));
         }

@@ -5,15 +5,15 @@
 use pcd_util::VertexId;
 use std::collections::HashMap;
 
-/// Joint contingency counts between two assignments.
-fn contingency(
-    a: &[VertexId],
-    b: &[VertexId],
-) -> (
+/// Joint, `a`-marginal and `b`-marginal label counts.
+type Contingency = (
     HashMap<(u32, u32), u64>,
     HashMap<u32, u64>,
     HashMap<u32, u64>,
-) {
+);
+
+/// Joint contingency counts between two assignments.
+fn contingency(a: &[VertexId], b: &[VertexId]) -> Contingency {
     assert_eq!(a.len(), b.len());
     let mut joint: HashMap<(u32, u32), u64> = HashMap::new();
     let mut ma: HashMap<u32, u64> = HashMap::new();

@@ -17,7 +17,7 @@
 
 use crate::registry::{decade_bounds, CounterId, GaugeId, HistogramId, Registry};
 use crate::ring::{SpanKind, SpanRecord, SpanRing};
-use pcd_core::{detect_many, Detector};
+use pcd_core::Detector;
 use pcd_core::{Config, DetectionResult, LevelObserver, LevelStats, Termination};
 use pcd_graph::Graph;
 use pcd_util::par::prelude::*;
@@ -53,6 +53,7 @@ const POISONED_HELP: &str =
     "Detection engines poisoned by a worker panic (each was torn down and rebuilt).";
 
 /// Span recorder + metrics registry behind the [`LevelObserver`] seam.
+#[derive(Debug)]
 pub struct TraceObserver {
     clock: TickClock,
     ring: SpanRing,
@@ -64,7 +65,6 @@ pub struct TraceObserver {
     edges_scored_total: CounterId,
     watchdog_degraded_total: CounterId,
     terminations_total: [CounterId; 6],
-    engines_poisoned_total: CounterId,
     phase_seconds: [HistogramId; 3],
     level_edges_per_second: HistogramId,
     last_modularity: GaugeId,
@@ -135,7 +135,9 @@ impl TraceObserver {
                 &[("reason", t.as_str())],
             )
         });
-        let engines_poisoned_total = reg.counter("pcd_engines_poisoned_total", POISONED_HELP, &[]);
+        // Registered so the series is exported at 0; only merges of
+        // per-worker registries increment it (by name).
+        reg.counter("pcd_engines_poisoned_total", POISONED_HELP, &[]);
         let phase_bounds = decade_bounds(-6, 2);
         let phase_help = "Per-level kernel seconds by phase (engine phase-timer reading).";
         let phase_seconds = [
@@ -215,7 +217,6 @@ impl TraceObserver {
             edges_scored_total,
             watchdog_degraded_total,
             terminations_total,
-            engines_poisoned_total,
             phase_seconds,
             level_edges_per_second,
             last_modularity,
@@ -370,7 +371,7 @@ impl LevelObserver for TraceObserver {
     }
 }
 
-/// As [`detect_many`], additionally attaching a fresh [`TraceObserver`] to
+/// As [`pcd_core::detect_many`], additionally attaching a fresh [`TraceObserver`] to
 /// every graph's run and merging the per-graph registries **in input
 /// order** after the parallel collect — so deterministic counters (runs,
 /// levels, merges, edges scored) are identical whatever thread pool ran
@@ -466,7 +467,7 @@ pub fn detect_many_outcomes_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcd_core::StopReason;
+    use pcd_core::{detect_many, StopReason};
 
     fn counter(reg: &Registry, name: &str) -> u64 {
         reg.counters_of(name).next().expect(name).value

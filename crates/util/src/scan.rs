@@ -169,8 +169,8 @@ impl Compactor {
             let lo = c * COMPACT_CHUNK;
             let hi = (lo + COMPACT_CHUNK).min(n);
             let mut pos = offsets[c];
-            for i in lo..hi {
-                if keep[i] {
+            for (i, &kept) in (lo..hi).zip(&keep[lo..hi]) {
+                if kept {
                     // SAFETY: `offsets` is the exclusive prefix sum of the
                     // per-chunk survivor counts, so each chunk's write range
                     // `[offsets[c], offsets[c] + count_c)` is disjoint from

@@ -6,6 +6,7 @@
 use std::time::{Duration, Instant};
 
 /// A simple scope timer.
+#[derive(Debug)]
 pub struct Timer {
     start: Instant,
 }

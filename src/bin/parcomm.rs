@@ -598,7 +598,7 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     /// per-component registry on the sharded one.
     enum Recorded {
         None,
-        Observer(TraceObserver),
+        Observer(Box<TraceObserver>),
         Registry(parcomm::trace::Registry),
     }
 
@@ -631,7 +631,7 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
                 (None, false) => engine.run(g)?,
             };
             match tracer {
-                Some(t) => (result, Recorded::Observer(t)),
+                Some(t) => (result, Recorded::Observer(Box::new(t))),
                 None => (result, Recorded::None),
             }
         };
@@ -812,7 +812,11 @@ fn compare_report(g: Graph) -> Result<(), PcdError> {
         g.clone(),
         &Config::default().with_matcher(MatcherKind::LouvainMove),
     );
-    report("louvain (backend)", &r.assignment, t.elapsed().as_secs_f64());
+    report(
+        "louvain (backend)",
+        &r.assignment,
+        t.elapsed().as_secs_f64(),
+    );
     let t = std::time::Instant::now();
     let a = parcomm::baseline::label_propagation(&g, 30);
     report("labelprop", &a, t.elapsed().as_secs_f64());

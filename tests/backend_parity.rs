@@ -201,11 +201,8 @@ fn sharded_detection_agrees_with_solo_components_for_label_backends() {
             for &old in &o.old_of_new {
                 keep[old as usize] = true;
             }
-            let solo = try_detect(
-                parcomm::graph::subgraph::induce(&union, &keep).graph,
-                &cfg,
-            )
-            .expect("solo run");
+            let solo = try_detect(parcomm::graph::subgraph::induce(&union, &keep).graph, &cfg)
+                .expect("solo run");
             let sharded = o.outcome.as_ref().expect("component succeeds");
             assert_same(
                 sharded,

@@ -2,8 +2,6 @@
 //! memory ceilings, cooperative cancellation, strict mode, and the
 //! best-effort-partition guarantee on every breach path.
 
-use std::time::Duration;
-
 use parcomm::prelude::*;
 use parcomm::util::rng::{check_cases, ChaCha8Rng, Rng};
 

@@ -235,8 +235,7 @@ fn map_contraction_conserves_weight() {
         };
         let map: Vec<u32> = (0..nv).map(|_| rng.gen_range(0..k as u32)).collect();
         let mut scratch = parcomm::contract::ContractScratch::new();
-        let c =
-            parcomm::contract::contract_map_into(&g, &map, k, &mut scratch, Default::default());
+        let c = parcomm::contract::contract_map_into(&g, &map, k, &mut scratch, Default::default());
         assert_eq!(c.num_vertices(), k);
         assert_eq!(c.total_weight(), g.total_weight());
         assert_eq!(c.validate(), Ok(()));

@@ -40,7 +40,11 @@ fn assert_reuse_fresh_agree(g: Graph, cfg: &Config) {
     assert_eq!(warm.modularity, last.modularity);
     assert_eq!(warm.coverage, last.coverage);
     assert_eq!(warm.stop_reason, last.stop_reason);
-    let chained: Vec<_> = links.iter().chain([&last]).flat_map(|l| &l.levels).collect();
+    let chained: Vec<_> = links
+        .iter()
+        .chain([&last])
+        .flat_map(|l| &l.levels)
+        .collect();
     assert_eq!(warm.levels.len(), chained.len());
     for (a, b) in warm.levels.iter().zip(chained) {
         assert_eq!(a.pairs_merged, b.pairs_merged);

@@ -200,8 +200,7 @@ impl Lexer<'_> {
                 // body like rustc's XID rules would.
                 let mut len = 0;
                 for ch in self.src[self.pos..].chars() {
-                    let continues =
-                        len == 0 || !ch.is_ascii() || is_ident_continue(ch as u8);
+                    let continues = len == 0 || !ch.is_ascii() || is_ident_continue(ch as u8);
                     if !continues {
                         break;
                     }
@@ -331,14 +330,20 @@ impl Lexer<'_> {
                 self.bump();
             }
         } else {
-            while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+            while self
+                .peek(0)
+                .is_some_and(|c| c.is_ascii_digit() || c == b'_')
+            {
                 self.bump();
             }
             // Fractional part only when followed by a digit: `1.max(2)`
             // and `0..n` must leave the dot to the next token.
             if self.peek(0) == Some(b'.') && self.peek(1).is_some_and(|c| c.is_ascii_digit()) {
                 self.bump();
-                while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+                while self
+                    .peek(0)
+                    .is_some_and(|c| c.is_ascii_digit() || c == b'_')
+                {
                     self.bump();
                 }
             }
@@ -352,7 +357,10 @@ impl Lexer<'_> {
                     if sign {
                         self.bump();
                     }
-                    while self.peek(0).is_some_and(|c| c.is_ascii_digit() || c == b'_') {
+                    while self
+                        .peek(0)
+                        .is_some_and(|c| c.is_ascii_digit() || c == b'_')
+                    {
                         self.bump();
                     }
                 }
@@ -386,7 +394,11 @@ impl Lexer<'_> {
                 }
                 return self.raw_string(h);
             }
-            if h == 1 && self.peek(2).is_some_and(|c| is_ident_start(c) || !c.is_ascii()) {
+            if h == 1
+                && self
+                    .peek(2)
+                    .is_some_and(|c| is_ident_start(c) || !c.is_ascii())
+            {
                 // Raw identifier r#type: consume r, #, then the body.
                 self.bump();
                 self.bump();
@@ -468,8 +480,14 @@ mod tests {
     #[test]
     fn comments_including_nested_blocks() {
         use TokenKind::*;
-        assert_eq!(kinds("// line\n/* a /* b */ c */ x"), [LineComment, BlockComment, Ident]);
-        assert_eq!(kinds("/** doc */ /*! inner */"), [BlockComment, BlockComment]);
+        assert_eq!(
+            kinds("// line\n/* a /* b */ c */ x"),
+            [LineComment, BlockComment, Ident]
+        );
+        assert_eq!(
+            kinds("/** doc */ /*! inner */"),
+            [BlockComment, BlockComment]
+        );
         // Unterminated nest is an Error token, not a hang.
         assert_eq!(kinds("/* /* */"), [Error]);
     }
@@ -477,7 +495,10 @@ mod tests {
     #[test]
     fn strings_hide_comment_markers_and_vice_versa() {
         use TokenKind::*;
-        assert_eq!(kinds(r#"let s = "// not a comment";"#), [Ident, Ident, Punct, Str, Punct]);
+        assert_eq!(
+            kinds(r#"let s = "// not a comment";"#),
+            [Ident, Ident, Punct, Str, Punct]
+        );
         assert_eq!(kinds("/* \" not a string */ x"), [BlockComment, Ident]);
         assert_eq!(kinds(r#""esc \" quote""#), [Str]);
         assert_eq!(kinds(r#"b"bytes" c"cstr""#), [Str, Str]);
@@ -486,7 +507,10 @@ mod tests {
     #[test]
     fn raw_strings_with_guards() {
         use TokenKind::*;
-        assert_eq!(kinds(r###"r"plain" r#"one "quote" in"# x"###), [Str, Str, Ident]);
+        assert_eq!(
+            kinds(r###"r"plain" r#"one "quote" in"# x"###),
+            [Str, Str, Ident]
+        );
         let src = "r##\"has \"# inside\"## y";
         assert_eq!(kinds(src), [Str, Ident]);
         assert_eq!(kinds("br#\"raw bytes\"#"), [Str]);
@@ -501,18 +525,30 @@ mod tests {
         use TokenKind::*;
         assert_eq!(kinds("'a' 'x"), [Char, Lifetime]);
         assert_eq!(kinds("&'static str"), [Punct, Lifetime, Ident]);
-        assert_eq!(kinds(r"'\'' '\\' '\n' '\u{1F600}'"), [Char, Char, Char, Char]);
+        assert_eq!(
+            kinds(r"'\'' '\\' '\n' '\u{1F600}'"),
+            [Char, Char, Char, Char]
+        );
         assert_eq!(kinds("'_  '_x"), [Lifetime, Lifetime]);
-        assert_eq!(kinds("'outer: loop {}"), [Lifetime, Punct, Ident, Punct, Punct]);
+        assert_eq!(
+            kinds("'outer: loop {}"),
+            [Lifetime, Punct, Ident, Punct, Punct]
+        );
         assert_eq!(kinds("b'\\xFF'"), [Char]);
         // Generic turbofish with lifetime then char.
-        assert_eq!(kinds("f::<'a>('b')"), [Ident, Punct, Punct, Punct, Lifetime, Punct, Punct, Char, Punct]);
+        assert_eq!(
+            kinds("f::<'a>('b')"),
+            [Ident, Punct, Punct, Punct, Lifetime, Punct, Punct, Char, Punct]
+        );
     }
 
     #[test]
     fn raw_identifiers() {
         use TokenKind::*;
-        assert_eq!(shape("r#type r#match"), vec![(Ident, "r#type".into()), (Ident, "r#match".into())]);
+        assert_eq!(
+            shape("r#type r#match"),
+            vec![(Ident, "r#type".into()), (Ident, "r#match".into())]
+        );
         // r followed by # followed by quote is a raw string, not ident.
         assert_eq!(kinds("r#\"s\"#"), [Str]);
     }
@@ -524,10 +560,16 @@ mod tests {
         assert_eq!(kinds("1.5e-3 2E9 1e9f64"), [Number; 3]);
         // Range and method-on-literal leave the dot alone.
         assert_eq!(kinds("0..10"), [Number, Punct, Punct, Number]);
-        assert_eq!(kinds("1.max(2)"), [Number, Punct, Ident, Punct, Number, Punct]);
+        assert_eq!(
+            kinds("1.max(2)"),
+            [Number, Punct, Ident, Punct, Number, Punct]
+        );
         assert_eq!(kinds("1.0f64"), [Number]);
         // `1else` style: e not followed by digits stays an ident.
-        assert_eq!(kinds("for _ in 0..1e3 {}"), [Ident, Ident, Ident, Number, Punct, Punct, Number, Punct, Punct]);
+        assert_eq!(
+            kinds("for _ in 0..1e3 {}"),
+            [Ident, Ident, Ident, Number, Punct, Punct, Number, Punct, Punct]
+        );
     }
 
     #[test]

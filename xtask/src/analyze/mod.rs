@@ -284,12 +284,7 @@ pub(crate) fn analyze_file(rel: &str, src: &str) -> Vec<Violation> {
 /// Waiver application: a waiver suppresses same-rule violations on its
 /// own line (trailing form) or the next line (standalone form), then
 /// hygiene rules fire for malformed/dead/over-budget waivers.
-fn apply_waivers(
-    rel: &str,
-    src: &str,
-    tokens: &[Token],
-    raw: Vec<Violation>,
-) -> Vec<Violation> {
+fn apply_waivers(rel: &str, src: &str, tokens: &[Token], raw: Vec<Violation>) -> Vec<Violation> {
     let mut waivers = if waivers_apply(rel) {
         parse_waivers(src, tokens)
     } else {
@@ -445,9 +440,7 @@ pub(crate) fn analyze_tree(root: &Path, bless: bool) -> Vec<Violation> {
                 .filter(|(_, t)| {
                     !matches!(
                         t.kind,
-                        TokenKind::Whitespace
-                            | TokenKind::LineComment
-                            | TokenKind::BlockComment
+                        TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
                     )
                 })
                 .map(|(i, _)| i)
@@ -511,6 +504,36 @@ fn with_ctx<T>(rel: &str, src: &str, f: impl FnOnce(&FileCtx) -> T) -> T {
         code: &code,
         structure: &structure,
     })
+}
+
+/// CLI entry point for `cargo xtask analyze` (and the `lint` alias).
+pub(crate) fn run(args: &[String]) -> ExitCode {
+    let mut bless = false;
+    for a in args {
+        match a.as_str() {
+            "--bless" => bless = true,
+            other => {
+                eprintln!("xtask analyze: unknown argument `{other}` (supported: --bless)");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    let root = crate::repo_root();
+    let violations = analyze_tree(&root, bless);
+    if violations.is_empty() {
+        if bless {
+            println!("xtask analyze: clean ({API_LOCK} regenerated)");
+        } else {
+            println!("xtask analyze: clean");
+        }
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("xtask analyze: {} violation(s)", violations.len());
+        for v in &violations {
+            eprintln!("  {v}");
+        }
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
@@ -607,9 +630,7 @@ mod tests {
     #[test]
     fn alloc_scopes_to_phase_fns_in_engine() {
         let (file, fun) = rules::alloc::HOT_FNS[0];
-        let src = format!(
-            "fn {fun}() {{ let v = vec![1]; }}\nfn cold() {{ let v = vec![1]; }}\n"
-        );
+        let src = format!("fn {fun}() {{ let v = vec![1]; }}\nfn cold() {{ let v = vec![1]; }}\n");
         let v = analyze_file(file, &src);
         let allocs: Vec<_> = v.iter().filter(|x| x.rule == "alloc").collect();
         assert_eq!(allocs.len(), 1, "{v:?}");
@@ -685,7 +706,10 @@ mod tests {
                    x.unwrap()\n}\n";
         let v = analyze_file(LIB, src);
         assert!(rules_of(&v).contains(&"waiver"), "{v:?}");
-        assert!(rules_of(&v).contains(&"panic"), "reasonless waiver must not suppress: {v:?}");
+        assert!(
+            rules_of(&v).contains(&"panic"),
+            "reasonless waiver must not suppress: {v:?}"
+        );
     }
 
     #[test]
@@ -744,10 +768,22 @@ mod tests {
         with_ctx("crates/demo/src/lib.rs", src, |ctx| {
             rules::api_lock::collect(ctx, &mut entries)
         });
-        assert!(entries.contains(&"pcd-demo\t-\t-\tstruct\tS".to_string()), "{entries:?}");
-        assert!(entries.contains(&"pcd-demo\t-\ttrait T\tfn\tm".to_string()), "{entries:?}");
-        assert!(entries.contains(&"pcd-demo\t-\timpl S\tfn\tinherent".to_string()), "{entries:?}");
-        assert!(entries.contains(&"pcd-demo\tinner\t-\tconst\tK".to_string()), "{entries:?}");
+        assert!(
+            entries.contains(&"pcd-demo\t-\t-\tstruct\tS".to_string()),
+            "{entries:?}"
+        );
+        assert!(
+            entries.contains(&"pcd-demo\t-\ttrait T\tfn\tm".to_string()),
+            "{entries:?}"
+        );
+        assert!(
+            entries.contains(&"pcd-demo\t-\timpl S\tfn\tinherent".to_string()),
+            "{entries:?}"
+        );
+        assert!(
+            entries.contains(&"pcd-demo\tinner\t-\tconst\tK".to_string()),
+            "{entries:?}"
+        );
         assert!(
             entries.iter().all(|e| !e.contains("Hidden")),
             "pub(crate) is not API: {entries:?}"
@@ -764,8 +800,14 @@ mod tests {
         let mut v = Vec::new();
         rules::api_lock::diff(&lock, &entries, &mut v);
         let msgs: Vec<&str> = v.iter().map(|x| x.msg.as_str()).collect();
-        assert!(msgs.iter().any(|m| m.contains("new public item")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("removed or renamed")), "{msgs:?}");
+        assert!(
+            msgs.iter().any(|m| m.contains("new public item")),
+            "{msgs:?}"
+        );
+        assert!(
+            msgs.iter().any(|m| m.contains("removed or renamed")),
+            "{msgs:?}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -812,35 +854,5 @@ mod tests {
     fn real_tree_is_clean() {
         let v = analyze_tree(&crate::repo_root(), false);
         assert!(v.is_empty(), "tree not clean:\n{v:#?}");
-    }
-}
-
-/// CLI entry point for `cargo xtask analyze` (and the `lint` alias).
-pub(crate) fn run(args: &[String]) -> ExitCode {
-    let mut bless = false;
-    for a in args {
-        match a.as_str() {
-            "--bless" => bless = true,
-            other => {
-                eprintln!("xtask analyze: unknown argument `{other}` (supported: --bless)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = crate::repo_root();
-    let violations = analyze_tree(&root, bless);
-    if violations.is_empty() {
-        if bless {
-            println!("xtask analyze: clean ({API_LOCK} regenerated)");
-        } else {
-            println!("xtask analyze: clean");
-        }
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask analyze: {} violation(s)", violations.len());
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        ExitCode::FAILURE
     }
 }

@@ -123,9 +123,7 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 flag(&format!("allocating constructor `{ty}::{ctor}`"));
             }
         }
-        if ALLOC_MACROS.contains(&text)
-            && ctx.next_code(i).is_some_and(|n| ctx.text(n) == "!")
-        {
+        if ALLOC_MACROS.contains(&text) && ctx.next_code(i).is_some_and(|n| ctx.text(n) == "!") {
             flag(&format!("allocating macro `{text}!`"));
         }
     }

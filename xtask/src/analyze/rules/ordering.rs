@@ -50,8 +50,7 @@ const ATOMIC_WITH_CONST: &[&str] = &["load", "store", "swap"];
 const ORDERING_CONSTS: &[&str] = &["RELAXED", "ACQUIRE", "ACQ_REL"];
 
 pub(crate) fn in_scope(rel: &str) -> bool {
-    (rel.starts_with("crates/") || rel.starts_with("src/"))
-        && rel != super::atomics::SHIM
+    (rel.starts_with("crates/") || rel.starts_with("src/")) && rel != super::atomics::SHIM
 }
 
 pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
@@ -83,10 +82,7 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
             }
             // Stop at the top of the paragraph (blank line above) or
             // after a sane lookback window.
-            if l <= 1
-                || blank.get(l - 2).copied().unwrap_or(true)
-                || call_line as usize - l >= 30
-            {
+            if l <= 1 || blank.get(l - 2).copied().unwrap_or(true) || call_line as usize - l >= 30 {
                 return false;
             }
             l -= 1;
@@ -103,7 +99,7 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
         if !always && !maybe {
             continue;
         }
-        if !ctx.prev_code(i).is_some_and(|p| ctx.text(p) == ".") {
+        if ctx.prev_code(i).is_none_or(|p| ctx.text(p) != ".") {
             continue; // free function, not a method call
         }
         let Some(open) = ctx.next_code(i).filter(|&n| ctx.text(n) == "(") else {
@@ -125,9 +121,7 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
                     }
                     _ => {}
                 }
-            } else if t.kind == TokenKind::Ident
-                && ORDERING_CONSTS.contains(&t.text(ctx.src))
-            {
+            } else if t.kind == TokenKind::Ident && ORDERING_CONSTS.contains(&t.text(ctx.src)) {
                 has_const = true;
             }
             j += 1;

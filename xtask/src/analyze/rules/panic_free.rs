@@ -55,9 +55,7 @@ pub(crate) fn check(ctx: &FileCtx, out: &mut Vec<Violation>) {
                 ),
             });
         }
-        if PANIC_MACROS.contains(&text)
-            && ctx.next_code(i).is_some_and(|n| ctx.text(n) == "!")
-        {
+        if PANIC_MACROS.contains(&text) && ctx.next_code(i).is_some_and(|n| ctx.text(n) == "!") {
             out.push(Violation {
                 file: ctx.rel.to_string(),
                 line: ctx.line(i),

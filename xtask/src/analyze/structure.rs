@@ -167,7 +167,12 @@ pub(crate) fn analyze(src: &str, tokens: &[Token]) -> Structure {
                 // is the macro.)
                 let j = next_code(tokens, i + 1);
                 if matches!(tokens.get(j), Some(n) if n.kind == TokenKind::Punct && n.text(src) == "!")
-                    && attr_group_mentions(src, tokens, next_code(tokens, j + 1), "debug_assertions")
+                    && attr_group_mentions(
+                        src,
+                        tokens,
+                        next_code(tokens, j + 1),
+                        "debug_assertions",
+                    )
                 {
                     pending_cfg_debug = true;
                 }
@@ -194,13 +199,10 @@ pub(crate) fn analyze(src: &str, tokens: &[Token]) -> Structure {
                 if let Some((extra, name)) = pending_item.take() {
                     frame.flags |= extra;
                     if let Some(name) = name {
-                        let idx = fn_names
-                            .iter()
-                            .position(|n| *n == name)
-                            .unwrap_or_else(|| {
-                                fn_names.push(name);
-                                fn_names.len() - 1
-                            });
+                        let idx = fn_names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                            fn_names.push(name);
+                            fn_names.len() - 1
+                        });
                         frame.fn_idx = idx as u32;
                     }
                 } else {
@@ -217,10 +219,8 @@ pub(crate) fn analyze(src: &str, tokens: &[Token]) -> Structure {
                 flags[i] = frame.flags | (f & IN_DEBUG);
                 fn_of[i] = frame.fn_idx;
             }
-            (TokenKind::Punct, "}") => {
-                if stack.len() > 1 {
-                    stack.pop();
-                }
+            (TokenKind::Punct, "}") if stack.len() > 1 => {
+                stack.pop();
             }
             (TokenKind::Punct, ";") => {
                 // Item without a body (`mod x;`, `use …;`, extern fn
@@ -284,10 +284,10 @@ fn scan_attr(src: &str, tokens: &[Token], open: usize) -> (u8, usize) {
         // the bare `test` predicate gates test-only code. `#[cfg_attr]`
         // conditions don't remove code, so they contribute nothing.
         Some("cfg") => {
-            if idents.iter().any(|w| *w == "test") {
+            if idents.contains(&"test") {
                 flags |= IN_TEST;
             }
-            if idents.iter().any(|w| *w == "debug_assertions") {
+            if idents.contains(&"debug_assertions") {
                 flags |= IN_DEBUG;
             }
         }
@@ -379,8 +379,7 @@ mod tests {
 
     #[test]
     fn cfg_macro_guard_marks_block() {
-        let src =
-            "fn f() { if cfg!(debug_assertions) { costly_check(); } normal(); }\n";
+        let src = "fn f() { if cfg!(debug_assertions) { costly_check(); } normal(); }\n";
         assert_eq!(at(src, "costly_check").0 & IN_DEBUG, IN_DEBUG);
         assert_eq!(at(src, "normal").0 & IN_DEBUG, 0);
     }

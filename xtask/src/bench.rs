@@ -1284,8 +1284,10 @@ mod tests {
             .contains("quality"));
         // ...as is one whose section is empty (nothing to certify), has a
         // non-numeric NMI, or a non-positive reference.
-        let empty =
-            GOOD_V3.replace("\"quality\": [{", "\"quality\": [], \"quality_ignored\": [{");
+        let empty = GOOD_V3.replace(
+            "\"quality\": [{",
+            "\"quality\": [], \"quality_ignored\": [{",
+        );
         assert!(validate_report(&parse_json(&empty).unwrap())
             .unwrap_err()
             .contains("empty"));
@@ -1293,7 +1295,10 @@ mod tests {
         assert!(validate_report(&parse_json(&bad_nmi).unwrap())
             .unwrap_err()
             .contains("nmi"));
-        let bad_ref = GOOD_V3.replace("\"reference_modularity\": 0.36", "\"reference_modularity\": 0");
+        let bad_ref = GOOD_V3.replace(
+            "\"reference_modularity\": 0.36",
+            "\"reference_modularity\": 0",
+        );
         assert!(validate_report(&parse_json(&bad_ref).unwrap())
             .unwrap_err()
             .contains("positive"));
@@ -1301,15 +1306,14 @@ mod tests {
 
     #[test]
     fn quality_gate_pools_per_backend_and_enforces_nmi_floor() {
-        let mk = |instance: &str, backend: &str, q: f64, nmi: Option<f64>, reference: f64| {
-            QualityCell {
+        let mk =
+            |instance: &str, backend: &str, q: f64, nmi: Option<f64>, reference: f64| QualityCell {
                 instance: instance.into(),
                 backend: backend.into(),
                 modularity: q,
                 nmi,
                 reference_modularity: reference,
-            }
-        };
+            };
         // labelprop holds geomean(1.0, 0.96) ~ 0.98 of the reference;
         // louvain only geomean(1.0, 0.80) ~ 0.89.
         let cells = vec![
