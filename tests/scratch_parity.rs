@@ -22,29 +22,30 @@ fn assert_reuse_fresh_agree(g: Graph, cfg: &Config) {
     let mut assignment: Vec<VertexId> = (0..g.num_vertices() as u32).collect();
     let mut links = Vec::new();
     let mut graph = g;
-    let last = loop {
+    loop {
         let link = detect(graph, &one_level);
         for a in &mut assignment {
             *a = link.assignment[*a as usize];
         }
-        if link.stop_reason != StopReason::Budget {
-            break link;
-        }
-        assert_eq!(link.levels.len(), 1, "a budget stop after one level");
+        let budget_stop = link.stop_reason == StopReason::Budget;
+        assert!(
+            !budget_stop || link.levels.len() == 1,
+            "a budget stop after one level"
+        );
         graph = link.community_graph.clone();
         links.push(link);
-    };
+        if !budget_stop {
+            break;
+        }
+    }
+    let last = links.last().expect("the chain ran at least once");
 
     assert_eq!(warm.assignment, assignment);
     assert_eq!(warm.num_communities, last.num_communities);
     assert_eq!(warm.modularity, last.modularity);
     assert_eq!(warm.coverage, last.coverage);
     assert_eq!(warm.stop_reason, last.stop_reason);
-    let chained: Vec<_> = links
-        .iter()
-        .chain([&last])
-        .flat_map(|l| &l.levels)
-        .collect();
+    let chained: Vec<_> = links.iter().flat_map(|l| &l.levels).collect();
     assert_eq!(warm.levels.len(), chained.len());
     for (a, b) in warm.levels.iter().zip(chained) {
         assert_eq!(a.pairs_merged, b.pairs_merged);
@@ -52,11 +53,7 @@ fn assert_reuse_fresh_agree(g: Graph, cfg: &Config) {
         assert_eq!(a.matcher_degraded, b.matcher_degraded);
         assert_eq!(a.modularity, b.modularity);
     }
-    let chained_maps: Vec<_> = links
-        .iter()
-        .chain([&last])
-        .flat_map(|l| l.level_maps.iter().cloned())
-        .collect();
+    let chained_maps: Vec<_> = links.iter().flat_map(|l| l.level_maps.clone()).collect();
     assert_eq!(warm.level_maps, chained_maps);
 }
 
