@@ -7,9 +7,9 @@
 //! against SNAP's sequential implementation. This crate supplies the
 //! sequential reference points:
 //!
-//! * [`cnm`] — greedy modularity maximisation with a lazy priority queue
+//! * [`cnm`](mod@cnm) — greedy modularity maximisation with a lazy priority queue
 //!   (CNM \[13\]/\[28\]): merge the single best pair per step.
-//! * [`louvain`] — Blondel et al.'s local-moving + aggregation heuristic
+//! * [`louvain`](mod@louvain) — Blondel et al.'s local-moving + aggregation heuristic
 //!   \[17\], the strongest quality baseline.
 //! * [`labelprop`] — weighted label propagation, a cheap extra baseline.
 //! * [`seedset`] — Andersen–Lang seed-set expansion via approximate

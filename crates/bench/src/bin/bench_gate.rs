@@ -342,7 +342,7 @@ fn main() -> ExitCode {
 
     // Sharding instances. The union graph is a disjoint id-offset union of
     // a smaller R-MAT (many isolated vertices and fragments) and a smaller
-    // SBM — the multi-component shape `detect_sharded` exists for. The
+    // SBM — the multi-component shape `try_detect_sharded` exists for. The
     // clique ring is connected, so its sharded cell must take the
     // single-component fast path; `--max-sharded-overhead` gates that path
     // at roughly the noise floor.
@@ -641,9 +641,9 @@ fn run_once_sharded(
 /// timed region, the engine build inside it (both arms pay it equally).
 /// The recorder is also constructed outside the timer: a recorder is
 /// one-time setup that outlives many runs in real use (the CLI holds one
-/// per process, `detect_many_traced` one per worker), so the observed
-/// arm times exactly the steady-state recording cost — every span push,
-/// counter bump, and histogram observation — not the arena allocation.
+/// per process), so the observed arm times exactly the steady-state
+/// recording cost — every span push, counter bump, and histogram
+/// observation — not the arena allocation.
 /// `budgeted` attaches an armed but non-binding budget (hour deadline,
 /// `usize::MAX` caps, a shared cancel token nobody cancels), so the arm
 /// times the sentinel's phase-boundary checks with every limit live.

@@ -142,12 +142,13 @@ pub struct Config {
     /// bit-identical results (see [`Budget`]).
     pub budget: Budget,
     /// Route [`crate::detect`]/[`crate::try_detect`] through the
-    /// WCC-sharded pipeline ([`crate::detect_sharded`]): decompose into
+    /// WCC-sharded pipeline ([`crate::try_detect_sharded`]): decompose into
     /// connected components, detect each (big ones one at a time with
     /// parallel levels, small ones side by side with warm per-task
     /// engines), merge deterministically. Off by default; a
     /// single-component graph takes the exact unsharded path either way
-    /// (DESIGN.md §16).
+    /// (DESIGN.md §16). [`crate::Detector::run`] is one engine run and
+    /// ignores this flag.
     pub sharding: bool,
     /// Fault plan for the injection harness (test builds only).
     #[cfg(feature = "fault-injection")]
@@ -272,7 +273,8 @@ impl Config {
     /// Enables or disables WCC-sharded detection (off by default): the
     /// detect entry points decompose the graph into connected components,
     /// run them concurrently on warm per-worker engines, and merge the
-    /// results deterministically (see [`crate::detect_sharded`]).
+    /// results deterministically (see [`crate::try_detect_sharded`]).
+    /// [`crate::Detector::run`] ignores the flag.
     pub fn with_sharding(mut self, on: bool) -> Self {
         self.sharding = on;
         self

@@ -1,21 +1,20 @@
 //! One-shot entry points for the agglomerative main loop (§III).
 //!
-//! The loop itself lives in [`crate::engine`]; [`detect`] and
-//! [`try_detect`] reach it through the [`crate::shard`] pipeline — the
-//! single caller of the level loop for the one-shot family. With
-//! [`Config::sharding`] off (the default) that pipeline constructs a
-//! throwaway [`crate::Detector`] per call, which resolves the
-//! configuration's kernel kinds through the trait registry
-//! ([`crate::kernel`]) and runs score → match → contract until a local
-//! maximum or an external criterion; with sharding on, connected
-//! components run concurrently on warm per-worker engines and merge
-//! deterministically. Callers running many detections keep a
+//! The loop itself lives in [`crate::engine`]. With [`Config::sharding`]
+//! off (the default) [`try_detect`] constructs a throwaway
+//! [`crate::Detector`] per call, which resolves the configuration's kernel
+//! kinds through the trait registry ([`crate::kernel`]) and runs score →
+//! match → contract until a local maximum or an external criterion; with
+//! sharding on it routes through [`crate::try_detect_sharded`], where
+//! connected components run concurrently on warm per-worker engines and
+//! merge deterministically. Callers running many detections keep a
 //! [`crate::Detector`] (or use [`crate::detect_many`]) to reuse its warm
 //! scratch arenas; outputs are bit-identical either way.
 
 use crate::config::Config;
+use crate::engine::Detector;
 use crate::result::DetectionResult;
-use crate::shard;
+use crate::shard::try_detect_sharded;
 use pcd_graph::Graph;
 use pcd_util::PcdError;
 
@@ -25,8 +24,8 @@ use pcd_util::PcdError;
 /// original vertex ends in exactly one community; isolated vertices stay
 /// singletons.
 ///
-/// Panics on an invalid configuration or a paranoia-guard trip; callers
-/// that need structured errors use [`try_detect`].
+/// Panics on an invalid configuration, a paranoia-guard trip or a kernel
+/// panic; callers that need structured errors use [`try_detect`].
 pub fn detect(graph: Graph, config: &Config) -> DetectionResult {
     // analyze: allow(panic, reason = "documented panicking twin of try_detect (see doc comment)")
     try_detect(graph, config).unwrap_or_else(|e| panic!("community detection failed: {e}"))
@@ -35,9 +34,14 @@ pub fn detect(graph: Graph, config: &Config) -> DetectionResult {
 /// Fallible [`detect`]: validates the configuration up front and, when
 /// [`Config::paranoia`] is raised, re-checks kernel invariants after every
 /// phase, returning [`PcdError::InvariantViolation`] instead of producing
-/// a silently corrupt hierarchy.
+/// a silently corrupt hierarchy. A kernel panic surfaces as
+/// [`PcdError::EnginePoisoned`]. Honours [`Config::sharding`].
 pub fn try_detect(graph: Graph, config: &Config) -> Result<DetectionResult, PcdError> {
-    shard::run(graph, config)
+    if config.sharding {
+        try_detect_sharded(graph, config)
+    } else {
+        Detector::new(config.clone())?.run(graph)
+    }
 }
 
 #[cfg(test)]

@@ -6,11 +6,13 @@
 //! ping-pong [`pcd_graph::GraphParts`] shadow storage), so repeated
 //! [`Detector::run`] calls reuse warm buffers instead of reallocating the
 //! whole arena per detection. [`crate::detect`] / [`crate::try_detect`]
-//! are thin one-shot wrappers; [`detect_many`] batches independent graphs
-//! across the worker threads with one warm `Detector` per task.
+//! are thin one-shot wrappers; [`detect_many`] / [`detect_many_observed`]
+//! batch independent graphs across the worker threads with one warm
+//! `Detector` per task. Every run is panic-isolated
+//! ([`Detector::run_observed`]).
 //!
 //! The level loop itself is three typed phase functions —
-//! [`score_phase`], [`match_phase`], [`contract_phase`] — each owning one
+//! `score_phase`, `match_phase`, `contract_phase` — each owning one
 //! kernel call plus its fault-injection hook and paranoia guard, with the
 //! phase timer wrapped around exactly the work the monolithic driver
 //! timed. A [`LevelObserver`] fires at phase boundaries (outside the
@@ -79,7 +81,41 @@ impl Detector {
     /// As [`Detector::run`], firing `observer` at level and phase
     /// boundaries. Observation cannot change the result: hooks run outside
     /// the phase timers and see only immutable views.
+    ///
+    /// Every run is panic-isolated: a panicking kernel poisons only this
+    /// engine, whose scratch arenas are rebuilt, and the panic is reported
+    /// as a structured [`PcdError::EnginePoisoned`]. The engine is always
+    /// usable again after this returns; on a panic the observer's partial
+    /// recording is the caller's to discard.
     pub fn run_observed(
+        &mut self,
+        graph: Graph,
+        observer: &mut dyn LevelObserver,
+    ) -> Result<DetectionResult, PcdError> {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.run_levels(graph, observer)
+        }));
+        caught.unwrap_or_else(|payload| {
+            // The scratch arenas may be mid-mutation; rebuild them rather
+            // than reason about a half-folded level. The config and the
+            // resolved kernels are immutable, so this is a whole rebuild.
+            self.scratch = LevelScratch::new();
+            Err(PcdError::poisoned(panic_message(&*payload)))
+        })
+    }
+
+    /// A cold engine with this engine's configuration and resolved
+    /// kernels (no revalidation, no warm arenas).
+    fn cold_copy(&self) -> Detector {
+        Detector {
+            config: self.config.clone(),
+            kernels: self.kernels,
+            scratch: LevelScratch::new(),
+        }
+    }
+
+    /// The level loop behind [`Detector::run_observed`], unisolated.
+    fn run_levels(
         &mut self,
         graph: Graph,
         observer: &mut dyn LevelObserver,
@@ -353,39 +389,6 @@ impl Detector {
         observer.on_run_end(&result);
         Ok(result)
     }
-
-    /// As [`Detector::run`], with panic isolation: a panicking kernel
-    /// poisons only this engine, which is torn down and rebuilt from its
-    /// config, and the panic is reported as a structured
-    /// [`PcdError::EnginePoisoned`]. The engine is always usable again
-    /// after this returns.
-    pub fn run_isolated(&mut self, graph: Graph) -> Result<DetectionResult, PcdError> {
-        self.run_isolated_observed(graph, &mut NoopObserver)
-    }
-
-    /// As [`Detector::run_isolated`], firing `observer` at level and phase
-    /// boundaries. On a panic the observer's partial recording is the
-    /// caller's to discard.
-    pub fn run_isolated_observed(
-        &mut self,
-        graph: Graph,
-        observer: &mut dyn LevelObserver,
-    ) -> Result<DetectionResult, PcdError> {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_observed(graph, observer)
-        }));
-        match caught {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                // The scratch arenas may be mid-mutation; rebuild the whole
-                // engine rather than reason about a half-folded level.
-                let config = self.config.clone();
-                // analyze: allow(panic, reason = "the config already passed Detector::new validation once")
-                *self = Detector::new(config).expect("a built Detector's config stays valid");
-                Err(PcdError::poisoned(panic_message(&*payload)))
-            }
-        }
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -405,36 +408,70 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// processes, while results keep the input order.
 ///
 /// Validates `config` once up front; per-graph runs can still fail (e.g. a
-/// paranoia guard trip), and the first failure *in input order* is
-/// returned. Runs with [`detect_many_outcomes`]'s panic isolation, so one
-/// poisoned graph costs one error, never the whole batch.
+/// paranoia guard trip or a poisoned engine), and the first failure *in
+/// input order* is returned. [`detect_many_observed`] keeps every graph's
+/// outcome instead.
 pub fn detect_many(graphs: Vec<Graph>, config: &Config) -> Result<Vec<DetectionResult>, PcdError> {
-    detect_many_outcomes(graphs, config)?.into_iter().collect()
+    detect_many_observed(graphs, config, || NoopObserver)?
+        .into_iter()
+        .map(|(outcome, _)| outcome)
+        .collect()
 }
 
-/// As [`detect_many`], but reports one outcome per graph instead of
-/// collapsing the batch into its first failure: a graph that trips a
-/// paranoia guard, breaches a strict budget, or panics its worker yields
-/// an `Err` in its input slot while every other graph completes normally.
+/// As [`detect_many`], firing one observer (from `make_observer`) per
+/// graph and reporting one `(outcome, observer)` pair per graph, in input
+/// order, instead of collapsing the batch into its first failure: a graph
+/// that trips a paranoia guard, breaches a strict budget, or panics its
+/// worker yields an `Err` in its slot while every other graph completes
+/// normally. Observers come back in input order so recorders can be
+/// folded deterministically (the pool size never shows); a failed run's
+/// observer holds a partial recording.
 ///
-/// A worker panic poisons only that worker's engine — the engine is torn
-/// down and rebuilt ([`Detector::run_isolated`]), the panic surfaces as
-/// [`PcdError::EnginePoisoned`], and the worker continues with the
-/// remaining graphs. The outer `Err` is reserved for an invalid `config`.
-pub fn detect_many_outcomes(
+/// A worker panic poisons only that worker's engine
+/// ([`Detector::run_observed`] rebuilds it and reports
+/// [`PcdError::EnginePoisoned`]); the worker continues with the remaining
+/// graphs. The outer `Err` is reserved for an invalid `config`.
+pub fn detect_many_observed<O, F>(
     graphs: Vec<Graph>,
     config: &Config,
-) -> Result<Vec<Result<DetectionResult, PcdError>>, PcdError> {
-    config.validate()?;
-    Ok(graphs
+    make_observer: F,
+) -> Result<Vec<Observed<O>>, PcdError>
+where
+    O: LevelObserver + Send,
+    F: Fn() -> O + Sync,
+{
+    let engine = Detector::new(config.clone())?;
+    Ok(run_each(&engine, graphs, &make_observer))
+}
+
+/// One engine run's outcome and the observer that watched it.
+type Observed<O> = (Result<DetectionResult, PcdError>, O);
+
+/// The per-worker loop behind every batch: each parallel task runs its
+/// graphs on its own copy of `engine` (arenas start cold and stay warm
+/// across that task's graphs), with a fresh observer per graph, and the
+/// `(outcome, observer)` pairs come back in input order.
+pub(crate) fn run_each<O, F>(
+    engine: &Detector,
+    graphs: Vec<Graph>,
+    make_observer: &F,
+) -> Vec<Observed<O>>
+where
+    O: LevelObserver + Send,
+    F: Fn() -> O + Sync,
+{
+    graphs
         .into_par_iter()
         .with_min_len(1)
         .map_init(
-            // analyze: allow(panic, reason = "config.validate() succeeded at function entry")
-            || Detector::new(config.clone()).expect("config validated above"),
-            |det, g| det.run_isolated(g),
+            || engine.cold_copy(),
+            |detector, g| {
+                let mut observer = make_observer();
+                let outcome = detector.run_observed(g, &mut observer);
+                (outcome, observer)
+            },
         )
-        .collect())
+        .collect()
 }
 
 struct ScorePhase {

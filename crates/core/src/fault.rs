@@ -37,8 +37,8 @@ pub struct FaultPlan {
     /// [`crate::Budget`] deadline breach without timing races.
     pub stall_match_at_level: Option<(usize, u64)>,
     /// Panic at the top of the contract phase at this level — the
-    /// poisoned-engine drill for [`crate::detect_many_outcomes`]'s
-    /// isolation and [`crate::Detector::run_isolated`]'s rebuild path.
+    /// poisoned-engine drill for [`crate::Detector::run_observed`]'s
+    /// isolation and rebuild path, which every entry point goes through.
     pub panic_contract_at_level: Option<usize>,
 }
 

@@ -17,6 +17,20 @@
 //! [`engine::Detector`] owns that set plus the warm scratch arenas so
 //! repeated detections reuse buffers.
 //!
+//! The detection surface has one plain and one `_observed` form per
+//! execution shape, and every engine run is panic-isolated:
+//!
+//! | shape | plain | observed |
+//! |---|---|---|
+//! | one engine run | [`Detector::run`] | [`Detector::run_observed`] |
+//! | a batch of graphs | [`detect_many`] | [`detect_many_observed`] |
+//! | a sharded graph | [`try_detect_sharded`] | [`try_detect_sharded_observed`] |
+//!
+//! [`detect`] / [`try_detect`] are the one-shot pair (`try_detect` honours
+//! [`Config::sharding`]), [`detect_sharded_outcomes`] reports every
+//! component's outcome, and [`refine::refine_detected`] adds local-move
+//! refinement.
+//!
 //! ```
 //! use pcd_core::{Config, Detector};
 //!
@@ -35,7 +49,6 @@ pub mod fault;
 pub mod follow;
 pub mod kernel;
 pub mod louvain;
-pub mod multilevel;
 pub mod observer;
 pub mod refine;
 pub mod result;
@@ -49,20 +62,18 @@ pub use config::{
     default_match_round_cap, Config, ContractorKind, MatcherKind, Paranoia, ScorerKind,
 };
 pub use driver::{detect, try_detect};
-pub use engine::{detect_many, detect_many_outcomes, Detector};
+pub use engine::{detect_many, detect_many_observed, Detector};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultPlan;
 pub use follow::{follow_map_into, FollowScratch};
 pub use kernel::{Contractor, KernelSet, Matcher, Scorer};
 pub use louvain::{synchronous_move_phase, MoveStats};
-pub use multilevel::{detect_multilevel, refine_multilevel, MultilevelOutcome};
 pub use observer::{LevelObserver, NoopObserver, Tee};
 pub use pcd_util::sync::CancelToken;
 pub use result::{DetectionResult, LevelStats, StopReason, Termination};
 pub use scorer::{score_all_into, ScoreContext};
 pub use scratch::LevelScratch;
 pub use shard::{
-    detect_sharded, detect_sharded_outcomes, try_detect_sharded, try_detect_sharded_observed,
-    ComponentOutcome,
+    detect_sharded_outcomes, try_detect_sharded, try_detect_sharded_observed, ComponentOutcome,
 };
 pub use termination::Criterion;

@@ -40,8 +40,8 @@ impl ScoreContext {
 }
 
 impl Default for ScoreContext {
-    /// An empty context (no volumes, zero weight); [`refresh`]
-    /// ([`ScoreContext::refresh`]) before use.
+    /// An empty context (no volumes, zero weight);
+    /// [`refresh`](ScoreContext::refresh) before use.
     fn default() -> Self {
         ScoreContext {
             // analyze: allow(alloc, reason = "cold constructor: Vec::new is capacity-0 and refresh() sizes it once")

@@ -7,9 +7,9 @@
 //! ([`pcd_graph::subgraph::split_components`]), detects each component
 //! independently (largest component first; big components one at a time
 //! with parallel levels, small ones side by side with one warm
-//! [`Detector`] per task; [`Detector::run_isolated`]-style panic
-//! isolation), and recombines the per-component results into one
-//! [`DetectionResult`] indexed by original vertex ids.
+//! [`Detector`] per task, each run panic-isolated by
+//! [`Detector::run_observed`]), and recombines the per-component results
+//! into one [`DetectionResult`] indexed by original vertex ids.
 //!
 //! Every merge decision is **input-order-deterministic**: components are
 //! ordered by their canonical representative (the smallest original vertex
@@ -18,13 +18,12 @@
 //! order, and observers/registries are folded in the same order. Nothing
 //! depends on the pool size or the completion schedule.
 //!
-//! This is also the *only* caller of the level loop for the one-shot
-//! detect family: [`crate::try_detect`] funnels through [`run`] with
-//! sharding off, so a single-component graph (or `sharding: false`) takes
-//! the exact pre-refactor path through one [`Detector`].
+//! [`crate::try_detect`] routes here when [`Config::sharding`] is on; a
+//! single-component graph then takes the exact unsharded path through one
+//! [`Detector`].
 
 use crate::config::Config;
-use crate::engine::Detector;
+use crate::engine::{run_each, Detector};
 use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
 use pcd_graph::components::components;
@@ -61,34 +60,13 @@ impl ComponentOutcome {
     }
 }
 
-/// The single detection entry point behind [`crate::detect`] /
-/// [`crate::try_detect`]: routes through the sharded pipeline when
-/// [`Config::sharding`] is on, and through one [`Detector`] otherwise.
-pub(crate) fn run(graph: Graph, config: &Config) -> Result<DetectionResult, PcdError> {
-    if config.sharding {
-        try_detect_sharded(graph, config)
-    } else {
-        Detector::new(config.clone())?.run(graph)
-    }
-}
-
 /// Runs WCC-sharded community detection over `graph` under `config`,
 /// regardless of [`Config::sharding`] (calling this *is* the opt-in).
 ///
-/// Panics on an invalid configuration or a failed component; callers that
-/// need structured errors use [`try_detect_sharded`], and callers that
-/// need per-component outcomes use [`detect_sharded_outcomes`].
-pub fn detect_sharded(graph: Graph, config: &Config) -> DetectionResult {
-    try_detect_sharded(graph, config)
-        // analyze: allow(panic, reason = "documented panicking twin of try_detect_sharded (see doc comment)")
-        .unwrap_or_else(|e| panic!("sharded community detection failed: {e}"))
-}
-
-/// Fallible [`detect_sharded`]: validates the configuration up front and
-/// returns the first failing component's error *in component order* (a
-/// deterministic choice), or the merged result when every component
-/// completes. See [`detect_sharded_outcomes`] to keep the survivors of a
-/// partial failure.
+/// Validates the configuration up front and returns the first failing
+/// component's error *in component order* (a deterministic choice), or
+/// the merged result when every component completes. See
+/// [`detect_sharded_outcomes`] to keep the survivors of a partial failure.
 pub fn try_detect_sharded(graph: Graph, config: &Config) -> Result<DetectionResult, PcdError> {
     let (result, _observers) = try_detect_sharded_observed(graph, config, || NoopObserver)?;
     Ok(result)
@@ -99,7 +77,7 @@ pub fn try_detect_sharded(graph: Graph, config: &Config) -> Result<DetectionResu
 /// be folded deterministically (the pool size never shows). Trivial
 /// components (a single vertex with no weight) are synthesized without an
 /// engine run and contribute no observer. On error the partial recordings
-/// are discarded, mirroring [`Detector::run_isolated_observed`].
+/// are discarded.
 pub fn try_detect_sharded_observed<O, F>(
     graph: Graph,
     config: &Config,
@@ -109,7 +87,7 @@ where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
-    config.validate()?;
+    let mut engine = Detector::new(config.clone())?;
     let t_total = Timer::start();
     let (nv, ne) = (graph.num_vertices(), graph.num_edges());
     let label = components(&graph);
@@ -121,12 +99,12 @@ where
         // Exact pre-refactor path: one engine over the whole graph, no
         // split, no merge — the decompose pass above is the only cost.
         let mut observer = make_observer();
-        let result = Detector::new(config.clone())?.run_observed(graph, &mut observer)?;
+        let result = engine.run_observed(graph, &mut observer)?;
         return Ok((result, vec![observer]));
     }
     let split = split_by_labels(&graph, &label);
     drop(graph); // the parts own their storage now; release the parent
-    let ran = run_components(split.parts, config, &make_observer);
+    let ran = run_components(split.parts, engine, &make_observer);
 
     let mut maps = Vec::with_capacity(ran.len());
     let mut results = Vec::with_capacity(ran.len());
@@ -152,11 +130,11 @@ pub fn detect_sharded_outcomes(
     graph: Graph,
     config: &Config,
 ) -> Result<Vec<ComponentOutcome>, PcdError> {
-    config.validate()?;
+    let engine = Detector::new(config.clone())?;
     let label = components(&graph);
     let split = split_by_labels(&graph, &label);
     drop(graph);
-    Ok(run_components(split.parts, config, &|| NoopObserver)
+    Ok(run_components(split.parts, engine, &|| NoopObserver)
         .into_iter()
         .map(|(old_of_new, outcome, _)| ComponentOutcome {
             old_of_new,
@@ -171,10 +149,11 @@ type ComponentRun<O> = (Vec<VertexId>, Result<DetectionResult, PcdError>, Option
 /// Detect stage: runs every part largest component first (classic LPT
 /// scheduling — the longest-running shard starts earliest, minimizing the
 /// tail), panic-isolated per component: big components one at a time with
-/// parallel levels, then the small ones side by side with one warm
-/// [`Detector`] per task. Trivial components (one vertex, zero weight) are
-/// synthesized without touching an engine when no budget
-/// is armed (an armed budget can breach even a trivial run — e.g.
+/// parallel levels on `engine`, then the small ones side by side through
+/// the batch loop (one warm copy of `engine` per task). `engine` is
+/// dropped on return, before the merge allocates. Trivial components (one
+/// vertex, zero weight) are synthesized without touching an engine when no
+/// budget is armed (an armed budget can breach even a trivial run — e.g.
 /// `max_levels: 0` or an expired deadline — so those go through the
 /// engine for bit-faithful termination reporting).
 ///
@@ -182,14 +161,14 @@ type ComponentRun<O> = (Vec<VertexId>, Result<DetectionResult, PcdError>, Option
 /// order; synthesized parts carry no observer.
 fn run_components<O, F>(
     parts: Vec<ComponentPart>,
-    config: &Config,
+    mut engine: Detector,
     make_observer: &F,
 ) -> Vec<ComponentRun<O>>
 where
     O: LevelObserver + Send,
     F: Fn() -> O + Sync,
 {
-    let may_synthesize = !config.budget.is_armed();
+    let may_synthesize = !engine.config().budget.is_armed();
     let mut maps = Vec::with_capacity(parts.len());
     let mut slots: Vec<Option<Graph>> = Vec::with_capacity(parts.len());
     let mut schedule: Vec<(usize, usize)> = Vec::new(); // (work estimate, part index)
@@ -214,25 +193,19 @@ where
         // analyze: allow(panic, reason = "non-trivial slots were filled two loops above and taken exactly once")
         (i, slots[i].take().expect("slot filled above"))
     });
-    // analyze: allow(panic, reason = "the config passed validate() before the detect stage started")
-    let new_detector = || Detector::new(config.clone()).expect("config validated by the caller");
     let mut ran: Vec<(usize, Result<DetectionResult, PcdError>, O)> = Vec::new();
-    let mut big_engine = None;
     for (i, g) in work.by_ref().take(n_large) {
-        let detector = big_engine.get_or_insert_with(new_detector);
         let mut observer = make_observer();
-        let outcome = detector.run_isolated_observed(g, &mut observer);
+        let outcome = engine.run_observed(g, &mut observer);
         ran.push((i, outcome, observer));
     }
-    let small: Vec<(usize, Graph)> = work.collect();
-    ran.par_extend(small.into_par_iter().with_min_len(1).map_init(
-        new_detector,
-        |detector, (i, g)| {
-            let mut observer = make_observer();
-            let outcome = detector.run_isolated_observed(g, &mut observer);
-            (i, outcome, observer)
-        },
-    ));
+    let (small_ids, small): (Vec<usize>, Vec<Graph>) = work.unzip();
+    ran.extend(
+        small_ids
+            .into_iter()
+            .zip(run_each(&engine, small, make_observer))
+            .map(|(i, (outcome, observer))| (i, outcome, observer)),
+    );
     // Results come in schedule (size) order; component order is the contract.
     ran.sort_unstable_by_key(|&(i, _, _)| i);
 
@@ -572,7 +545,7 @@ mod tests {
     fn single_component_takes_the_plain_path() {
         let g = pcd_gen::classic::clique_ring(6, 5);
         let plain = crate::detect(g.clone(), &Config::default());
-        let sharded = detect_sharded(g, &Config::default());
+        let sharded = try_detect_sharded(g, &Config::default()).unwrap();
         assert_eq!(plain.assignment, sharded.assignment);
         assert_eq!(plain.num_communities, sharded.num_communities);
         assert_eq!(plain.modularity, sharded.modularity);
@@ -585,7 +558,7 @@ mod tests {
     fn config_sharding_routes_detect() {
         let g = disconnected_graph();
         let via_flag = crate::detect(g.clone(), &Config::default().with_sharding(true));
-        let direct = detect_sharded(g.clone(), &Config::default());
+        let direct = try_detect_sharded(g.clone(), &Config::default()).unwrap();
         assert_eq!(via_flag.assignment, direct.assignment);
         assert_eq!(via_flag.modularity, direct.modularity);
         // Sharded and unsharded runs normalize scores differently (a
@@ -605,12 +578,12 @@ mod tests {
         let r1 = pcd_util::pool::with_threads(1, {
             let g = g.clone();
             let cfg = cfg.clone();
-            move || detect_sharded(g, &cfg)
+            move || try_detect_sharded(g, &cfg).unwrap()
         });
         let r4 = pcd_util::pool::with_threads(4, {
             let g = g.clone();
             let cfg = cfg.clone();
-            move || detect_sharded(g, &cfg)
+            move || try_detect_sharded(g, &cfg).unwrap()
         });
         assert_eq!(r1.assignment, r4.assignment);
         assert_eq!(r1.modularity, r4.modularity);
@@ -679,7 +652,7 @@ mod tests {
         );
         let g = builder::from_edges(na + b.num_vertices(), edges);
         let cfg = Config::default().with_recorded_levels();
-        let r = detect_sharded(g.clone(), &cfg);
+        let r = try_detect_sharded(g.clone(), &cfg).unwrap();
         // Every merged level's quality must equal the true quality of the
         // partition recorded at that depth.
         for (l, row) in r.levels.iter().enumerate() {
@@ -708,7 +681,7 @@ mod tests {
     #[test]
     fn zero_weight_graph_shards_to_singletons() {
         let g = Graph::empty(4);
-        let r = detect_sharded(g, &Config::default());
+        let r = try_detect_sharded(g, &Config::default()).unwrap();
         assert_eq!(r.num_communities, 4);
         assert_eq!(r.assignment, vec![0, 1, 2, 3]);
         assert_eq!(r.modularity, 0.0);

@@ -7,6 +7,11 @@
 //! `parcomm-metrics-v1` / `parcomm-trace-v1` JSON documents validated by
 //! `cargo xtask metrics`, and Prometheus text exposition.
 //!
+//! Batches and sharded graphs are traced through an observer factory:
+//! pass [`TraceObserver::new`] to an `_observed` entry point of
+//! `pcd-core` and fold the per-run observers it returns with
+//! [`merge_registries`].
+//!
 //! Discipline (tested by the PR's parity/overhead wall):
 //! - every byte of recorder storage is allocated at construction;
 //!   recording is index writes only (`tests/alloc_regression.rs`);
@@ -23,10 +28,7 @@ pub mod registry;
 pub mod ring;
 
 pub use json::{metrics_json, trace_json};
-pub use observer::{
-    detect_many_outcomes_traced, detect_many_traced, detect_sharded_traced, TraceObserver,
-    DEFAULT_SPAN_CAPACITY,
-};
+pub use observer::{merge_registries, TraceObserver, DEFAULT_SPAN_CAPACITY};
 pub use prometheus::encode as prometheus_text;
 pub use registry::{
     decade_bounds, CounterId, CounterView, FamilyView, GaugeId, GaugeView, HistogramId,

@@ -17,13 +17,10 @@
 
 use crate::registry::{decade_bounds, CounterId, GaugeId, HistogramId, Registry};
 use crate::ring::{SpanKind, SpanRecord, SpanRing};
-use pcd_core::Detector;
-use pcd_core::{Config, DetectionResult, LevelObserver, LevelStats, Termination};
-use pcd_graph::Graph;
-use pcd_util::par::prelude::*;
+use pcd_core::{DetectionResult, LevelObserver, LevelStats, Termination};
 use pcd_util::pool::thread_ordinal;
 use pcd_util::timing::TickClock;
-use pcd_util::{PcdError, Phase};
+use pcd_util::Phase;
 
 /// Default span-ring capacity: deep enough for hundreds of levels (a level
 /// contributes four spans, a run one more).
@@ -46,11 +43,6 @@ fn termination_index(t: Termination) -> usize {
         // analyze: allow(panic, reason = "Termination::ALL is the exhaustive variant list; coverage is self-tested")
         .expect("Termination::ALL covers every variant")
 }
-
-/// Help string for the poisoned-engines counter; shared with the batch
-/// helpers so [`Registry::merge_from`] unifies the series by name.
-const POISONED_HELP: &str =
-    "Detection engines poisoned by a worker panic (each was torn down and rebuilt).";
 
 /// Span recorder + metrics registry behind the [`LevelObserver`] seam.
 #[derive(Debug)]
@@ -135,9 +127,6 @@ impl TraceObserver {
                 &[("reason", t.as_str())],
             )
         });
-        // Registered so the series is exported at 0; only merges of
-        // per-worker registries increment it (by name).
-        reg.counter("pcd_engines_poisoned_total", POISONED_HELP, &[]);
         let phase_bounds = decade_bounds(-6, 2);
         let phase_help = "Per-level kernel seconds by phase (engine phase-timer reading).";
         let phase_seconds = [
@@ -371,103 +360,35 @@ impl LevelObserver for TraceObserver {
     }
 }
 
-/// As [`pcd_core::detect_many`], additionally attaching a fresh [`TraceObserver`] to
-/// every graph's run and merging the per-graph registries **in input
-/// order** after the parallel collect — so deterministic counters (runs,
-/// levels, merges, edges scored) are identical whatever thread pool ran
-/// the batch. Latency histograms merge too but remain timing-dependent.
-pub fn detect_many_traced(
-    graphs: Vec<Graph>,
-    config: &Config,
-) -> Result<(Vec<DetectionResult>, Registry), PcdError> {
-    config.validate()?;
-    let pairs: Vec<(DetectionResult, Registry)> = graphs
-        .into_par_iter()
-        .with_min_len(1)
-        .map_init(
-            // analyze: allow(panic, reason = "config.validate() succeeded at function entry")
-            || Detector::new(config.clone()).expect("config validated above"),
-            |det, g| {
-                let mut obs = TraceObserver::new();
-                let result = det.run_observed(g, &mut obs)?;
-                Ok((result, obs.into_registry()))
-            },
-        )
-        .collect::<Result<_, PcdError>>()?;
+/// Folds the registries of `observers` into one, **in iteration order**.
+///
+/// Tracing a batch or a sharded graph is an observer factory: pass
+/// [`TraceObserver::new`] to [`pcd_core::detect_many_observed`] or
+/// [`pcd_core::try_detect_sharded_observed`], which return one observer
+/// per engine run in input (or component) order, then merge them here.
+/// Deterministic counters (runs, levels, merges, edges scored) are then
+/// identical whatever thread pool ran the work; latency histograms merge
+/// too but remain timing-dependent, and gauges keep the last observer's
+/// value.
+pub fn merge_registries<'a, I>(observers: I) -> Registry
+where
+    I: IntoIterator<Item = &'a TraceObserver>,
+{
     let mut merged = Registry::new();
-    let mut results = Vec::with_capacity(pairs.len());
-    for (result, reg) in pairs {
-        merged.merge_from(&reg);
-        results.push(result);
+    for observer in observers {
+        merged.merge_from(observer.registry());
     }
-    Ok((results, merged))
-}
-
-/// As [`pcd_core::try_detect_sharded`], additionally attaching a fresh
-/// [`TraceObserver`] to every component's engine run and merging the
-/// per-component registries **in component order** (ascending canonical
-/// representative) after the parallel detect stage — so deterministic
-/// counters are identical whatever thread pool ran the shards, exactly
-/// like [`detect_many_traced`] over a batch. A single-component graph
-/// takes the unsharded fast path and yields that one run's registry;
-/// trivial synthesized components (single zero-weight vertices) run no
-/// engine and contribute no metrics.
-pub fn detect_sharded_traced(
-    graph: Graph,
-    config: &Config,
-) -> Result<(DetectionResult, Registry), PcdError> {
-    let (result, observers) =
-        pcd_core::try_detect_sharded_observed(graph, config, TraceObserver::new)?;
-    let mut merged = Registry::new();
-    for obs in observers {
-        merged.merge_from(&obs.into_registry());
-    }
-    Ok((result, merged))
-}
-
-/// As [`pcd_core::detect_many_outcomes`], additionally tracing every run
-/// and merging the per-graph registries **in input order**, like
-/// [`detect_many_traced`]. Failed runs contribute no metrics (their
-/// partial recordings are discarded), except that every worker panic
-/// increments `pcd_engines_poisoned_total` in the merged registry — the
-/// counter both exporters surface so poisonings are visible on `/metrics`,
-/// not only in the per-graph `Err`s.
-pub fn detect_many_outcomes_traced(
-    graphs: Vec<Graph>,
-    config: &Config,
-) -> Result<(Vec<Result<DetectionResult, PcdError>>, Registry), PcdError> {
-    config.validate()?;
-    let pairs: Vec<(Result<DetectionResult, PcdError>, Registry)> = graphs
-        .into_par_iter()
-        .with_min_len(1)
-        .map_init(
-            // analyze: allow(panic, reason = "config.validate() succeeded at function entry")
-            || Detector::new(config.clone()).expect("config validated above"),
-            |det, g| {
-                let mut obs = TraceObserver::new();
-                let outcome = det.run_isolated_observed(g, &mut obs);
-                (outcome, obs.into_registry())
-            },
-        )
-        .collect();
-    let mut merged = Registry::new();
-    let poisoned = merged.counter("pcd_engines_poisoned_total", POISONED_HELP, &[]);
-    let mut results = Vec::with_capacity(pairs.len());
-    for (outcome, reg) in pairs {
-        match &outcome {
-            Ok(_) => merged.merge_from(&reg),
-            Err(e) if e.is_engine_poisoned() => merged.inc(poisoned, 1),
-            Err(_) => {}
-        }
-        results.push(outcome);
-    }
-    Ok((results, merged))
+    merged
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcd_core::{detect_many, StopReason};
+    use pcd_core::{
+        detect_many, detect_many_observed, try_detect_sharded_observed, Config, Detector,
+        StopReason,
+    };
+    use pcd_graph::Graph;
 
     fn counter(reg: &Registry, name: &str) -> u64 {
         reg.counters_of(name).next().expect(name).value
@@ -600,13 +521,15 @@ mod tests {
     }
 
     #[test]
-    fn detect_many_traced_matches_detect_many() {
+    fn merged_batch_registry_matches_detect_many() {
         let graphs: Vec<Graph> = [3u64, 5, 7]
             .iter()
             .map(|&s| pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(7, s)))
             .collect();
         let cfg = Config::default();
-        let (traced, reg) = detect_many_traced(graphs.clone(), &cfg).unwrap();
+        let traced = detect_many_observed(graphs.clone(), &cfg, TraceObserver::new).unwrap();
+        let reg = merge_registries(traced.iter().map(|(_, obs)| obs));
+        let traced: Vec<DetectionResult> = traced.into_iter().map(|(r, _)| r.unwrap()).collect();
         let plain = detect_many(graphs, &cfg).unwrap();
         assert_eq!(traced.len(), plain.len());
         for (t, p) in traced.iter().zip(&plain) {
@@ -619,9 +542,9 @@ mod tests {
     }
 
     #[test]
-    fn detect_many_traced_rejects_invalid_config() {
+    fn traced_batch_rejects_invalid_config() {
         let cfg = Config::default().with_max_match_rounds(0);
-        assert!(detect_many_traced(Vec::new(), &cfg).is_err());
+        assert!(detect_many_observed(Vec::new(), &cfg, TraceObserver::new).is_err());
     }
 
     fn termination_counter(reg: &Registry, reason: &str) -> u64 {
@@ -644,7 +567,6 @@ mod tests {
         for reason in ["deadline", "cancelled", "memory-ceiling", "max-levels"] {
             assert_eq!(termination_counter(reg, reason), 0, "{reason}");
         }
-        assert_eq!(counter(reg, "pcd_engines_poisoned_total"), 0);
     }
 
     #[test]
@@ -682,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_sharded_traced_merges_registries_deterministically() {
+    fn sharded_registries_merge_deterministically() {
         // Two clique rings plus an isolated vertex: two engine-run
         // components and one synthesized trivial component (no metrics).
         let a = pcd_gen::classic::clique_ring(4, 5);
@@ -693,7 +615,11 @@ mod tests {
         let g = pcd_graph::builder::from_edges(na + b.num_vertices() + 1, edges);
         let cfg = Config::default();
 
-        let (r, reg) = detect_sharded_traced(g.clone(), &cfg).unwrap();
+        let traced = |g: Graph, cfg: &Config| {
+            let (r, observers) = try_detect_sharded_observed(g, cfg, TraceObserver::new).unwrap();
+            (r, merge_registries(&observers))
+        };
+        let (r, reg) = traced(g.clone(), &cfg);
         assert_eq!(counter(&reg, "pcd_runs_total"), 2, "trivial shard untraced");
         let levels: u64 = {
             // Per-component level totals: recompute from solo runs.
@@ -717,7 +643,7 @@ mod tests {
         let (r1, reg1) = pcd_util::pool::with_threads(1, {
             let g = g.clone();
             let cfg = cfg.clone();
-            move || detect_sharded_traced(g, &cfg).unwrap()
+            move || traced(g, &cfg)
         });
         assert_eq!(r1.assignment, r.assignment);
         assert_eq!(
@@ -731,10 +657,12 @@ mod tests {
     }
 
     #[test]
-    fn detect_sharded_traced_single_component_matches_plain_trace() {
+    fn sharded_single_component_registry_matches_plain_trace() {
         let g = pcd_gen::classic::clique_ring(4, 6);
         let cfg = Config::default();
-        let (r, reg) = detect_sharded_traced(g.clone(), &cfg).unwrap();
+        let (r, observers) =
+            try_detect_sharded_observed(g.clone(), &cfg, TraceObserver::new).unwrap();
+        let reg = merge_registries(&observers);
         let mut det = Detector::new(cfg.clone()).unwrap();
         let mut obs = TraceObserver::new();
         let plain = det.run_observed(g, &mut obs).unwrap();
@@ -751,23 +679,29 @@ mod tests {
     }
 
     #[test]
-    fn detect_many_outcomes_traced_matches_traced_on_clean_batches() {
-        let graphs: Vec<Graph> = [3u64, 5]
-            .iter()
-            .map(|&s| pcd_gen::rmat_graph(&pcd_gen::RmatParams::paper(7, s)))
-            .collect();
+    fn merge_follows_iteration_order() {
+        // Counters add in any order; gauges keep the last observer's value,
+        // so the fold order is visible through them.
         let cfg = Config::default();
-        let (outcomes, reg) = detect_many_outcomes_traced(graphs.clone(), &cfg).unwrap();
-        let (plain, plain_reg) = detect_many_traced(graphs, &cfg).unwrap();
-        assert_eq!(outcomes.len(), plain.len());
-        for (o, p) in outcomes.iter().zip(&plain) {
-            let o = o.as_ref().expect("clean batch");
-            assert_eq!(o.assignment, p.assignment);
-        }
+        let graphs = vec![
+            pcd_gen::classic::clique_ring(4, 6),
+            pcd_gen::classic::clique_ring(5, 4),
+        ];
+        let traced = detect_many_observed(graphs, &cfg, TraceObserver::new).unwrap();
+        let communities: Vec<f64> = traced
+            .iter()
+            .map(|(r, _)| r.as_ref().unwrap().num_communities as f64)
+            .collect();
+        assert_ne!(communities[0], communities[1], "pick distinguishable runs");
+        let forward = merge_registries(traced.iter().map(|(_, obs)| obs));
+        let backward = merge_registries(traced.iter().rev().map(|(_, obs)| obs));
+        assert_eq!(gauge(&forward, "pcd_last_run_communities"), communities[1]);
+        assert_eq!(gauge(&backward, "pcd_last_run_communities"), communities[0]);
+        assert_eq!(counter(&forward, "pcd_runs_total"), 2);
         assert_eq!(
-            counter(&reg, "pcd_runs_total"),
-            counter(&plain_reg, "pcd_runs_total")
+            counter(&forward, "pcd_levels_total"),
+            counter(&backward, "pcd_levels_total")
         );
-        assert_eq!(counter(&reg, "pcd_engines_poisoned_total"), 0);
+        assert_eq!(merge_registries([]).families().count(), 0);
     }
 }

@@ -35,7 +35,7 @@
 //! than a stall at every join. A panic in any chunk stops further chunk
 //! claims and resumes on the caller with the original payload once every
 //! chunk has finished, so `catch_unwind` around a
-//! detection run (`Detector::run_isolated`) sees it exactly as it would a
+//! detection run (`Detector::run_observed`) sees it exactly as it would a
 //! sequential panic.
 //!
 //! The worker count comes from [`crate::pool::with_threads`] (scoped to

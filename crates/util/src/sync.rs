@@ -251,8 +251,8 @@ unsafe impl<T> Send for SendPtr<T> {}
 
 /// A shareable cooperative cancellation flag.
 ///
-/// Clones share one underlying flag: any holder may [`cancel`]
-/// (`CancelToken::cancel`), and the detection engine polls
+/// Clones share one underlying flag: any holder may
+/// [`cancel`](CancelToken::cancel), and the detection engine polls
 /// [`is_cancelled`](CancelToken::is_cancelled) at phase boundaries only —
 /// never inside kernel hot loops. Cancellation is *cooperative*: setting
 /// the flag does not interrupt a running kernel, it makes the engine stop

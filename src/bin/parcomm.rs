@@ -608,8 +608,12 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
         let original = (refine_sweeps > 0).then(|| g.clone());
         let (result, recorded) = if sharded {
             if tracing {
-                let (r, reg) = parcomm::trace::detect_sharded_traced(g, &config)?;
-                (r, Recorded::Registry(reg))
+                let (r, observers) =
+                    parcomm::core::try_detect_sharded_observed(g, &config, TraceObserver::new)?;
+                (
+                    r,
+                    Recorded::Registry(parcomm::trace::merge_registries(&observers)),
+                )
             } else if progress {
                 // One Progress block per component engine run, folded in
                 // component order.

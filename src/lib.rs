@@ -25,7 +25,11 @@
 //! The engine owns the resolved kernel set and the warm scratch arenas, so
 //! further `engine.run(...)` calls reuse buffers; `detect(graph, &config)`
 //! remains as a one-shot wrapper, and `detect_many` batches independent
-//! graphs across the worker threads with one warm engine per task.
+//! graphs across the worker threads with one warm engine per task. Each
+//! shape (one run, a batch, a sharded graph) also has an `_observed` form
+//! taking a [`LevelObserver`](pcd_core::LevelObserver); tracing a batch
+//! passes `TraceObserver::new` and folds the observers with
+//! `merge_registries`. Every engine run is panic-isolated.
 //!
 //! See the `examples/` directory for realistic end-to-end scenarios and
 //! `pcd-bench`'s `repro` binary for the paper's tables and figures.
@@ -43,17 +47,14 @@ pub use pcd_util as util;
 /// The names most programs need.
 pub mod prelude {
     pub use pcd_core::{
-        detect, detect_many, detect_many_outcomes, detect_sharded, detect_sharded_outcomes,
-        try_detect, try_detect_sharded, Budget, CancelToken, ComponentOutcome, Config,
-        ContractorKind, Criterion, Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind,
-        Termination,
+        detect, detect_many, detect_many_observed, detect_sharded_outcomes, try_detect,
+        try_detect_sharded, Budget, CancelToken, ComponentOutcome, Config, ContractorKind,
+        Criterion, Detector, LevelObserver, MatcherKind, Paranoia, ScorerKind, Termination,
     };
     pub use pcd_graph::{Graph, GraphBuilder};
     pub use pcd_metrics::{coverage, modularity, normalized_mutual_information};
-    pub use pcd_trace::{
-        detect_many_outcomes_traced, detect_many_traced, detect_sharded_traced, TraceObserver,
-    };
+    pub use pcd_trace::{merge_registries, TraceObserver};
     pub use pcd_util::{PcdError, VertexId, Weight};
 }
 
-pub use pcd_core::{detect, detect_many, detect_sharded, Config, Detector};
+pub use pcd_core::{detect, detect_many, Config, Detector};

@@ -2,6 +2,7 @@
 //! memory ceilings, cooperative cancellation, strict mode, and the
 //! best-effort-partition guarantee on every breach path.
 
+use parcomm::core::NoopObserver;
 use parcomm::prelude::*;
 use parcomm::util::rng::{check_cases, ChaCha8Rng, Rng};
 
@@ -162,9 +163,9 @@ fn shared_token_cancels_a_whole_batch() {
     let token = CancelToken::new();
     token.cancel();
     let cfg = Config::default().with_budget(Budget::unarmed().with_cancel_token(token));
-    let outcomes = detect_many_outcomes(graphs.clone(), &cfg).unwrap();
+    let outcomes = detect_many_observed(graphs.clone(), &cfg, || NoopObserver).unwrap();
     assert_eq!(outcomes.len(), graphs.len());
-    for (g, outcome) in graphs.iter().zip(outcomes) {
+    for (g, (outcome, _)) in graphs.iter().zip(outcomes) {
         let r = outcome.expect("non-strict cancellation is a best-effort result");
         assert_eq!(r.termination, Termination::Cancelled);
         assert_eq!(r.levels.len(), 0);
@@ -174,7 +175,7 @@ fn shared_token_cancels_a_whole_batch() {
     let token = CancelToken::new();
     token.cancel();
     let cfg = Config::default().with_budget(Budget::unarmed().with_cancel_token(token).strict());
-    for outcome in detect_many_outcomes(graphs, &cfg).unwrap() {
+    for (outcome, _) in detect_many_observed(graphs, &cfg, || NoopObserver).unwrap() {
         assert!(outcome.expect_err("strict breach").is_budget_exceeded());
     }
 }

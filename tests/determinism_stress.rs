@@ -106,8 +106,12 @@ fn detect_many_traced_merge_identical_across_pools() {
         let graphs = graphs.clone();
         let cfg = cfg.clone();
         with_threads(threads, move || {
-            let (results, reg) = detect_many_traced(graphs, &cfg).expect("batch run");
-            let labels: Vec<_> = results.iter().map(|r| r.assignment.clone()).collect();
+            let traced = detect_many_observed(graphs, &cfg, TraceObserver::new).expect("batch run");
+            let reg = merge_registries(traced.iter().map(|(_, obs)| obs));
+            let labels: Vec<_> = traced
+                .iter()
+                .map(|(r, _)| r.as_ref().expect("batch run").assignment.clone())
+                .collect();
             let mut counters: Vec<(String, u64)> = reg
                 .families()
                 .flat_map(|f| reg.counters_of(f.name))

@@ -1,27 +1,10 @@
-//! Integration tests for the extension features: multilevel refinement,
-//! vertex reordering, community extraction, seed expansion, and
-//! arbitrary-map aggregation — all wired through the public facade.
+//! Integration tests for the extension features: vertex reordering,
+//! community extraction, seed expansion, and arbitrary-map aggregation —
+//! all wired through the public facade.
 
-use parcomm::core::multilevel::detect_multilevel;
 use parcomm::graph::extract::extract_communities;
 use parcomm::graph::reorder;
 use parcomm::prelude::*;
-
-#[test]
-fn multilevel_improves_lfr_quality() {
-    let lfr = parcomm::gen::lfr_graph(&parcomm::gen::LfrParams::benchmark(5_000, 0.3, 3));
-    let plain = detect(lfr.graph.clone(), &Config::default());
-    let (_, ml) = detect_multilevel(lfr.graph.clone(), &Config::default(), 5);
-    let q_plain = plain.modularity;
-    let q_ml = parcomm::metrics::modularity(&lfr.graph, &ml.assignment);
-    assert!(q_ml >= q_plain - 1e-9, "{q_ml} vs {q_plain}");
-    let nmi_plain = normalized_mutual_information(&plain.assignment, &lfr.ground_truth);
-    let nmi_ml = normalized_mutual_information(&ml.assignment, &lfr.ground_truth);
-    assert!(
-        nmi_ml >= nmi_plain - 0.05,
-        "multilevel hurt NMI badly: {nmi_ml} vs {nmi_plain}"
-    );
-}
 
 #[test]
 fn detection_quality_is_numbering_invariant() {

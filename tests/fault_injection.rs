@@ -6,7 +6,7 @@
 //! Compiled only under `--features fault-injection`.
 #![cfg(feature = "fault-injection")]
 
-use parcomm::core::FaultPlan;
+use parcomm::core::{FaultPlan, NoopObserver};
 use parcomm::prelude::*;
 use parcomm::util::Phase;
 
@@ -216,20 +216,23 @@ fn injected_panic_poisons_only_the_isolated_engine() {
         panic_contract_at_level: Some(1),
         ..FaultPlan::default()
     };
-    let mut engine = Detector::new(cfg).unwrap();
+    let mut engine = Detector::new(cfg.clone()).unwrap();
     let err = engine
-        .run_isolated(test_graph())
+        .run(test_graph())
         .expect_err("injected contract panic");
     assert!(err.is_engine_poisoned());
     assert!(err.to_string().contains("contract-phase panic"), "{err}");
     // The rebuilt engine is usable again — the same run yields the same
     // structured error, never a propagated panic.
-    let again = engine
-        .run_isolated(test_graph())
-        .expect_err("still faulted");
+    let again = engine.run(test_graph()).expect_err("still faulted");
     assert!(again.is_engine_poisoned());
-    // And a plain (unisolated) run on a clean engine with the same graph
-    // still works, proving the poison never leaked into shared state.
+    // The one-shot router surfaces the same structured error. The test
+    // graph is connected, so under `PARCOMM_TEST_SHARDED=1` this also
+    // covers the sharded single-component path.
+    let routed = try_detect(test_graph(), &cfg).expect_err("routed run is poisoned too");
+    assert!(routed.is_engine_poisoned(), "{routed}");
+    // And a run on a clean engine with the same graph still works,
+    // proving the poison never leaked into shared state.
     let clean = detect(test_graph(), &base_config());
     assert!(clean.num_communities < test_graph().num_vertices());
 }
@@ -261,7 +264,11 @@ fn batch_panic_fails_exactly_the_graph_that_reaches_the_faulted_level() {
     };
     let mut graphs = vec![big];
     graphs.extend(smalls);
-    let outcomes = detect_many_outcomes(graphs, &cfg).unwrap();
+    let outcomes: Vec<_> = detect_many_observed(graphs, &cfg, || NoopObserver)
+        .unwrap()
+        .into_iter()
+        .map(|(outcome, _)| outcome)
+        .collect();
     assert_eq!(outcomes.len(), 3);
     assert!(
         outcomes[0]
@@ -285,7 +292,7 @@ fn batch_panic_fails_exactly_the_graph_that_reaches_the_faulted_level() {
         ..FaultPlan::default()
     };
     let graphs = vec![test_graph(), test_graph()];
-    for outcome in detect_many_outcomes(graphs, &all_fault).unwrap() {
+    for (outcome, _) in detect_many_observed(graphs, &all_fault, || NoopObserver).unwrap() {
         assert!(outcome
             .expect_err("every graph panics at level 1")
             .is_engine_poisoned());

@@ -8,7 +8,7 @@
 //! `parts[i].graph` and on `induce(g, component_mask).graph` must not
 //! differ by a single bit.
 
-use parcomm::core::{detect_sharded_outcomes, DetectionResult};
+use parcomm::core::{detect_sharded_outcomes, try_detect_sharded_observed, DetectionResult};
 use parcomm::gen::{rmat_graph, RmatParams};
 use parcomm::graph::subgraph::induce;
 use parcomm::prelude::*;
@@ -177,7 +177,11 @@ fn traced_registries_are_pool_size_independent() {
         .iter()
         .map(|&threads| {
             let (g, cfg) = (g.clone(), cfg.clone());
-            with_threads(threads, move || detect_sharded_traced(g, &cfg)).expect("traced run")
+            let (result, observers) = with_threads(threads, move || {
+                try_detect_sharded_observed(g, &cfg, TraceObserver::new)
+            })
+            .expect("traced run");
+            (result, merge_registries(&observers))
         })
         .collect();
     let counter_sum = |reg: &parcomm::trace::Registry, name: &str| {

@@ -65,14 +65,13 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/contract/src/radix.rs", "alloc", 5),
     ("crates/core/src/budget.rs", "panic", 1),
     ("crates/core/src/driver.rs", "panic", 1),
-    ("crates/core/src/engine.rs", "panic", 4),
+    ("crates/core/src/engine.rs", "panic", 2),
     ("crates/core/src/fault.rs", "panic", 1),
     ("crates/core/src/follow.rs", "alloc", 1),
     ("crates/core/src/kernel/mod.rs", "panic", 1),
     ("crates/core/src/louvain.rs", "alloc", 2),
-    ("crates/core/src/multilevel.rs", "panic", 1),
     ("crates/core/src/scorer.rs", "alloc", 1),
-    ("crates/core/src/shard.rs", "panic", 5),
+    ("crates/core/src/shard.rs", "panic", 3),
     ("crates/graph/src/builder.rs", "panic", 1),
     ("crates/graph/src/components.rs", "panic", 1),
     ("crates/graph/src/stats.rs", "panic", 2),
@@ -81,7 +80,7 @@ pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/matching/src/parallel.rs", "alloc", 3),
     ("crates/matching/src/seq.rs", "panic", 1),
     ("crates/metrics/src/sizes.rs", "panic", 2),
-    ("crates/trace/src/observer.rs", "panic", 3),
+    ("crates/trace/src/observer.rs", "panic", 1),
     ("crates/util/src/pool.rs", "panic", 1),
     ("crates/util/src/scan.rs", "panic", 1),
     ("crates/util/src/timing.rs", "panic", 3),

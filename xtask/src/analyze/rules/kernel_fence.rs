@@ -1,9 +1,9 @@
 //! Rule `kernel-fence` (ported): drivers dispatch through the trait
 //! layer only.
 //!
-//! The detection drivers (`crates/core/src/driver.rs`,
-//! `crates/core/src/multilevel.rs`) may not call concrete kernel
-//! functions or name the concrete kernel modules of
+//! The files that hold or route the level loop
+//! (`crates/core/src/driver.rs`, `engine.rs`, `shard.rs`) may not call
+//! concrete kernel functions or name the concrete kernel modules of
 //! `pcd-matching`/`pcd-contract` — all score/match/contract work must
 //! go through the `pcd_core::kernel` trait layer, so a backend swap is
 //! one registry entry, never a driver edit. The trait impls under
@@ -17,8 +17,11 @@
 use crate::analyze::{FileCtx, Violation};
 
 /// Driver files fenced off from concrete kernels.
-pub(crate) const KERNEL_CALLERS: &[&str] =
-    &["crates/core/src/driver.rs", "crates/core/src/multilevel.rs"];
+pub(crate) const KERNEL_CALLERS: &[&str] = &[
+    "crates/core/src/driver.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/shard.rs",
+];
 
 /// Concrete kernel entry points (whole-identifier match).
 pub(crate) const CONCRETE_KERNEL_FNS: &[&str] = &[
