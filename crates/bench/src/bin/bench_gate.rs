@@ -1,17 +1,14 @@
 //! JSON benchmark gate for the zero-allocation level loop.
 //!
 //! Runs end-to-end detection on pinned R-MAT and SBM instances across a
-//! set of thread counts, with four level-loop arms — **reuse** (the
+//! set of thread counts, with three level-loop arms — **reuse** (the
 //! default engine: retained arenas + graph ping-pong), **observed**
 //! (reuse plus a full `pcd-trace` recorder attached, gating the
 //! observability layer's end-to-end overhead against the plain reuse
 //! arm), and **budgeted-unarmed** (reuse plus an armed but non-binding
 //! [`Budget`] — hour-long deadline, `usize::MAX` caps, a live cancel
 //! token nobody cancels — gating the budget sentinel's phase-boundary
-//! checks the same way), plus **contract-radix** (reuse with the
-//! radix-sort contraction kernel, whose contract-phase seconds `cargo
-//! xtask bench --min-contract-speedup` gates against the reuse arm's) —
-//! and writes a single machine-readable JSON report. Two sharding cells
+//! checks the same way) — and writes a single machine-readable JSON report. Two sharding cells
 //! ride along: a **sharded** arm (the component-sharded pipeline behind
 //! `Config::with_sharding`) interleaved against plain reuse on a
 //! multi-component `union-*` instance (disjoint R-MAT + SBM union, where
@@ -44,11 +41,11 @@
 //! geomean(modularity / reference) and the planted instances' NMI.
 //!
 //! Schema (`parcomm-bench-v3`; v2 predates the `quality` section, v1
-//! additionally predates the `contract-radix` arm and the host
-//! `rayon_threads` field — `cargo xtask bench` still loads both
-//! as a comparison baseline): one top-level object with `schema`,
-//! `label`, `created_unix`, `host` (available parallelism, the global
-//! worker count — pinned at startup to the widest `--threads` entry
+//! additionally predates the host `rayon_threads` field — `cargo xtask
+//! bench` still loads both as comparison baselines, along with older
+//! reports' retired `contract-radix` cells): one top-level object with
+//! `schema`, `label`, `created_unix`, `host` (available parallelism,
+//! the global worker count — pinned at startup to the widest `--threads` entry
 //! via [`pin_global`], recorded as both `rayon_threads` (the field name
 //! predates the in-repo pool) and `pinned_threads` so reports stop
 //! silently describing a 1-core default — and alloc-stats on/off),
@@ -78,7 +75,7 @@ use std::process::ExitCode;
 
 use pcd_core::{
     detect_many, kernel, refine::refine, try_detect_sharded_observed, Budget, CancelToken, Config,
-    ContractorKind, DetectionResult, Detector, LevelObserver, Tee,
+    DetectionResult, Detector, LevelObserver, Tee,
 };
 use pcd_gen::classic::clique_ring;
 use pcd_gen::{rmat_graph, sbm_graph, RmatParams, SbmParams};
@@ -435,19 +432,15 @@ fn report_cell(r: &Record) {
     );
 }
 
-/// The four single-instance arms as (name, observed, budgeted, radix).
+/// The three single-instance arms as (name, observed, budgeted).
 /// "reuse" is the default engine; "observed" is "reuse" with the full
 /// pcd-trace recorder attached; "budgeted-unarmed" is "reuse" with an
 /// armed but non-binding budget. Each pair with "reuse" gates that subsystem's end-to-end
-/// overhead. "contract-radix" is "reuse" with the radix-sort contraction
-/// kernel in place of bucket — `cargo xtask bench
-/// --min-contract-speedup` gates its contract-phase seconds against the
-/// reuse arm's.
-const CELL_ARMS: [(&str, bool, bool, bool); 4] = [
-    ("reuse", false, false, false),
-    ("observed", true, false, false),
-    ("budgeted-unarmed", false, true, false),
-    ("contract-radix", false, false, true),
+/// overhead.
+const CELL_ARMS: [(&str, bool, bool); 3] = [
+    ("reuse", false, false),
+    ("observed", true, false),
+    ("budgeted-unarmed", false, true),
 ];
 
 /// Arms whose record carries `overhead_vs_reuse`.
@@ -466,8 +459,8 @@ fn measure_cell(
     runs: usize,
 ) -> (Vec<Record>, Option<Registry>) {
     debug_assert_eq!(
-        CELL_ARMS.map(|(a, _, _, _)| a),
-        ["reuse", "observed", "budgeted-unarmed", "contract-radix"]
+        CELL_ARMS.map(|(a, _, _)| a),
+        ["reuse", "observed", "budgeted-unarmed"]
     );
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(runs); CELL_ARMS.len()];
     let mut lasts: Vec<Option<(DetectionResult, PhaseTimes, Option<Registry>)>> =
@@ -477,17 +470,10 @@ fn measure_cell(
         // The gated arms (observed, budgeted-unarmed) alternate which of
         // them brackets reuse, so every gated arm spends half its rounds adjacent to reuse on each side and
         // none systematically occupies the warmer late position.
-        // contract-radix alternates between the tail and the slot right
-        // before reuse: its speedup gate compares contract-phase seconds
-        // against reuse, so the two arms should sample the same epochs.
-        let order: [usize; 4] = if round % 2 == 0 {
-            [0, 1, 2, 3]
-        } else {
-            [3, 2, 0, 1]
-        };
+        let order: [usize; 3] = if round % 2 == 0 { [0, 1, 2] } else { [2, 0, 1] };
         for i in order {
-            let (_, observed, budgeted, radix) = CELL_ARMS[i];
-            let (secs, allocs, outcome) = run_once(g, threads, observed, budgeted, radix);
+            let (_, observed, budgeted) = CELL_ARMS[i];
+            let (secs, allocs, outcome) = run_once(g, threads, observed, budgeted);
             samples[i].push(secs);
             allocations[i] = allocs;
             lasts[i] = Some(outcome);
@@ -504,11 +490,11 @@ fn measure_cell(
     let fastest = |xs: &[f64]| xs.iter().copied().min_by(f64::total_cmp);
     let reuse_min = CELL_ARMS
         .iter()
-        .position(|&(a, _, _, _)| a == "reuse")
+        .position(|&(a, _, _)| a == "reuse")
         .and_then(|r| fastest(&samples[r]));
     let mut registry = None;
     let mut records = Vec::with_capacity(CELL_ARMS.len());
-    for (i, &(arm, _, _, _)) in CELL_ARMS.iter().enumerate() {
+    for (i, &(arm, _, _)) in CELL_ARMS.iter().enumerate() {
         let (result, phases, reg) = lasts[i].take().expect("runs >= 1");
         if reg.is_some() {
             registry = reg;
@@ -652,7 +638,6 @@ fn run_once(
     threads: usize,
     observed: bool,
     budgeted: bool,
-    radix: bool,
 ) -> (
     f64,
     Option<u64>,
@@ -660,9 +645,6 @@ fn run_once(
 ) {
     let graph = g.clone();
     let mut cfg = Config::default();
-    if radix {
-        cfg = cfg.with_contractor(ContractorKind::Radix);
-    }
     if budgeted {
         cfg = cfg.with_budget(
             Budget::unarmed()

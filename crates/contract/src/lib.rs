@@ -11,17 +11,15 @@
 //!
 //! Implementations:
 //!
-//! * [`bucket`] — the paper's new bucket-sort contraction, with both bucket
-//!   placement policies the paper discusses: a racy global fetch-and-add
-//!   (no barrier, nondeterministic layout) and a prefix-sum placement
-//!   (deterministic layout). The paper "ha\[s\] not timed the difference";
-//!   our ablation bench does.
-//! * [`radix`] — the profile-driven rewrite of the bucket hot path:
-//!   prefix-sum placement, cache-blocked scatter, and stable LSD
-//!   counting-sort accumulation of parallel edges, bit-identical to
-//!   [`bucket`] with prefix-sum placement (DESIGN.md §15). Also hosts
-//!   [`contract_map_into`], the generic map-based contraction the
-//!   vertex-following pre-pass uses.
+//! * [`bucket`] — the paper's bucket-sort contraction, the one parallel
+//!   pipeline: relabel into packed keys, block-local counting and scatter
+//!   without shared cursors, per-bucket sort-accumulate, copy-back
+//!   (DESIGN.md §15). It takes both bucket placement policies the paper
+//!   discusses: a racy global fetch-and-add and a prefix-sum placement
+//!   (the paper "ha\[s\] not timed the difference"; our ablation bench
+//!   does); the output graph is bit-identical under either. The same
+//!   pipeline serves [`contract_map_into`], the generic map-based
+//!   contraction the vertex-following pre-pass uses.
 //! * [`linked`] — the 2011 baseline: hash-chain merging in the style of
 //!   John T. Feo's full/empty-bit linked lists, rendered honestly on Intel
 //!   hardware as mutex-guarded chains ("infeasible" under OpenMP — the
@@ -30,11 +28,12 @@
 
 pub mod bucket;
 pub mod linked;
-pub mod radix;
 pub mod seq;
 
-pub use bucket::{contract, contract_into, contract_with_policy, ContractScratch, Placement};
-pub use radix::contract_map_into;
+pub use bucket::{
+    contract, contract_into, contract_map_into, contract_with_policy, ContractScratch,
+    ContractSteps, Placement,
+};
 
 use pcd_graph::Graph;
 use pcd_matching::Matching;

@@ -47,10 +47,6 @@ pub enum ContractorKind {
     /// Bucket-sort with the racy fetch-and-add placement the paper
     /// mentions but never timed.
     BucketFetchAdd,
-    /// Counting/radix-sort contraction: prefix-sum placement,
-    /// cache-blocked scatter, and per-row LSD counting accumulation —
-    /// bit-identical to [`ContractorKind::Bucket`] (DESIGN.md §15).
-    Radix,
     /// The 2011 linked-list hash-chain baseline.
     Linked,
     /// Sequential hash-map oracle.
@@ -471,13 +467,13 @@ mod tests {
         assert!(!Config::default().vertex_following);
         let c = Config::default()
             .with_vertex_following(true)
-            .with_contractor(ContractorKind::Radix);
+            .with_contractor(ContractorKind::BucketFetchAdd);
         assert!(c.vertex_following);
-        assert_eq!(c.contractor, ContractorKind::Radix);
+        assert_eq!(c.contractor, ContractorKind::BucketFetchAdd);
         assert!(c.validate().is_ok());
         assert_eq!(
             c.resolve().unwrap().contractor.kind(),
-            ContractorKind::Radix
+            ContractorKind::BucketFetchAdd
         );
         assert!(!c.with_vertex_following(false).vertex_following);
     }
@@ -487,7 +483,7 @@ mod tests {
         assert!(!Config::default().sharding);
         let c = Config::default()
             .with_sharding(true)
-            .with_contractor(ContractorKind::Radix);
+            .with_contractor(ContractorKind::BucketFetchAdd);
         assert!(c.sharding);
         assert!(c.validate().is_ok());
         assert!(!c.with_sharding(false).sharding);

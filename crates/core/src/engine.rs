@@ -27,6 +27,7 @@ use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
 use crate::scorer::{any_positive, mask_oversized};
 use crate::scratch::LevelScratch;
 use crate::termination::{any_stops, LevelState};
+use pcd_contract::ContractSteps;
 use pcd_graph::Graph;
 use pcd_matching::Matching;
 use pcd_util::par::prelude::*;
@@ -172,6 +173,8 @@ impl Detector {
                     &mut scratch.contract,
                     pcd_graph::GraphParts::default(),
                 );
+                // The pre-pass has no LevelStats row for its step timings.
+                scratch.contract.take_steps();
                 if config.record_levels {
                     // The dendrogram must chain from the original
                     // vertices, so the follow map is its first entry
@@ -264,6 +267,7 @@ impl Detector {
                 next,
                 num_new,
                 secs: contract_secs,
+                steps: contract_steps,
             } = contracted;
 
             // Fold the level into the hierarchy state.
@@ -325,6 +329,7 @@ impl Detector {
                 score_secs,
                 match_secs,
                 contract_secs,
+                contract_steps,
             });
             // analyze: allow(panic, reason = "a LevelRecord was pushed two statements above")
             observer.on_level_end(levels.last().expect("level just pushed"));
@@ -566,6 +571,7 @@ struct ContractPhase {
     next: Graph,
     num_new: usize,
     secs: f64,
+    steps: ContractSteps,
 }
 
 /// Phase 3: contracts `g` along the matching into the recycled shadow
@@ -619,6 +625,7 @@ fn contract_phase(
         next,
         num_new,
         secs,
+        steps: scratch.contract.take_steps(),
     })
 }
 

@@ -7,7 +7,7 @@
 
 use super::Contractor;
 use crate::config::ContractorKind;
-use pcd_contract::{bucket, linked, radix, seq, ContractScratch, Placement};
+use pcd_contract::{bucket, linked, seq, ContractScratch, Placement};
 use pcd_graph::{Graph, GraphParts};
 use pcd_matching::Matching;
 
@@ -60,32 +60,6 @@ impl Contractor for BucketFetchAdd {
         parts: GraphParts,
     ) -> (Graph, usize) {
         bucket::contract_into(g, matching, Placement::FetchAdd, scratch, parts)
-    }
-}
-
-/// Counting/radix-sort contraction: prefix-sum placement, cache-blocked
-/// scatter, per-row LSD counting accumulation (DESIGN.md §15).
-#[derive(Debug)]
-pub struct Radix;
-
-impl Contractor for Radix {
-    fn kind(&self) -> ContractorKind {
-        ContractorKind::Radix
-    }
-    fn name(&self) -> &'static str {
-        "radix"
-    }
-    fn description(&self) -> &'static str {
-        "radix-sort contraction: prefix-sum placement + LSD row accumulation"
-    }
-    fn contract_level(
-        &self,
-        g: &Graph,
-        matching: &Matching,
-        scratch: &mut ContractScratch,
-        parts: GraphParts,
-    ) -> (Graph, usize) {
-        radix::contract_into(g, matching, scratch, parts)
     }
 }
 
@@ -164,8 +138,8 @@ mod tests {
         )
         .matching;
 
-        let contractors: [&dyn Contractor; 5] =
-            [&Bucket, &BucketFetchAdd, &Radix, &Linked, &SequentialOracle];
+        let contractors: [&dyn Contractor; 4] =
+            [&Bucket, &BucketFetchAdd, &Linked, &SequentialOracle];
         let mut reference: Option<(Vec<u32>, usize)> = None;
         for c in contractors {
             let mut scratch = ContractScratch::new();

@@ -118,10 +118,9 @@ pub static MATCHERS: [&dyn Matcher; 5] = [
 ];
 
 /// All registered contractors, in listing order.
-pub static CONTRACTORS: [&dyn Contractor; 5] = [
+pub static CONTRACTORS: [&dyn Contractor; 4] = [
     &contractors::Bucket,
     &contractors::BucketFetchAdd,
-    &contractors::Radix,
     &contractors::Linked,
     &contractors::SequentialOracle,
 ];
@@ -259,7 +258,6 @@ mod tests {
         for kind in [
             ContractorKind::Bucket,
             ContractorKind::BucketFetchAdd,
-            ContractorKind::Radix,
             ContractorKind::Linked,
             ContractorKind::Sequential,
         ] {

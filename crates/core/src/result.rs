@@ -1,5 +1,6 @@
 //! Detection results: final assignment, per-level statistics, hierarchy.
 
+use pcd_contract::ContractSteps;
 use pcd_graph::Graph;
 use pcd_util::VertexId;
 
@@ -117,6 +118,10 @@ pub struct LevelStats {
     pub match_secs: f64,
     /// Wall-clock seconds in the contraction phase.
     pub contract_secs: f64,
+    /// The contraction's relabel / scatter / sort-accumulate / copy-back
+    /// seconds (paper §IV-C), within `contract_secs`; zero for the
+    /// contractors outside the bucket pipeline (`linked`, `sequential`).
+    pub contract_steps: ContractSteps,
 }
 
 impl LevelStats {
@@ -230,6 +235,7 @@ mod tests {
             score_secs: s,
             match_secs: m,
             contract_secs: c,
+            contract_steps: ContractSteps::default(),
         };
         let r = DetectionResult {
             assignment: vec![],

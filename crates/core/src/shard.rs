@@ -26,6 +26,7 @@ use crate::config::Config;
 use crate::engine::{run_each, Detector};
 use crate::observer::{LevelObserver, NoopObserver};
 use crate::result::{DetectionResult, LevelStats, StopReason, Termination};
+use pcd_contract::ContractSteps;
 use pcd_graph::components::components;
 use pcd_graph::subgraph::{split_by_labels, ComponentPart};
 use pcd_graph::{builder, Graph};
@@ -401,6 +402,7 @@ fn merge_level_stats(results: &[DetectionResult]) -> Vec<LevelStats> {
             score_secs: 0.0,
             match_secs: 0.0,
             contract_secs: 0.0,
+            contract_steps: ContractSteps::default(),
         };
         for r in results {
             if let Some(ls) = r.levels.get(l) {
@@ -412,6 +414,7 @@ fn merge_level_stats(results: &[DetectionResult]) -> Vec<LevelStats> {
                 row.score_secs += ls.score_secs;
                 row.match_secs += ls.match_secs;
                 row.contract_secs += ls.contract_secs;
+                row.contract_steps += ls.contract_steps;
             }
             let w_c = r.community_graph.total_weight();
             if total_weight > 0 && w_c > 0 {

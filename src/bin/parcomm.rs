@@ -88,27 +88,37 @@ exit codes:
   2  invalid input or usage (bad flags, unreadable or corrupt graphs)
   3  budget exceeded under --strict-budget";
 
+/// `println!` for the CLI's report lines, returning write errors instead
+/// of panicking. A reader that closed stdout early (`parcomm --help |
+/// head -1`) wants no more output, not a failed command: the line is
+/// dropped and the command still finishes its work, files included.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        closed_stdout_is_quiet(writeln!(std::io::stdout(), $($arg)*))
+    };
+}
+
+fn closed_stdout_is_quiet(written: std::io::Result<()>) -> Result<(), PcdError> {
+    match written {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        other => other.map_err(PcdError::from),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h")
         || args.first().map(String::as_str) == Some("help")
     {
-        println!("{USAGE}");
-        return ExitCode::SUCCESS;
+        return exit_for(outln!("{USAGE}"));
     }
     if args.first().map(String::as_str) == Some("--list-kernels") {
         // Strict parse: the only argument accepted after the flag is an
         // optional `--json`; anything else is a usage error (exit 2), so
         // scripts never silently get the human format they didn't ask for.
         return match &args[1..] {
-            [] => {
-                print_kernels();
-                ExitCode::SUCCESS
-            }
-            [flag] if flag == "--json" => {
-                print_kernels_json();
-                ExitCode::SUCCESS
-            }
+            [] => exit_for(print_kernels()),
+            [flag] if flag == "--json" => exit_for(print_kernels_json()),
             rest => {
                 eprintln!(
                     "error: --list-kernels takes at most `--json`, got '{}'",
@@ -136,6 +146,11 @@ fn main() -> ExitCode {
             "unknown command '{other}' (run parcomm --help)"
         ))),
     };
+    exit_for(result)
+}
+
+/// Reports a command's error on stderr and maps it to its exit code.
+fn exit_for(result: Result<(), PcdError>) -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -166,19 +181,20 @@ fn exit_code_for(e: &PcdError) -> ExitCode {
 
 /// Enumerates the kernel registry (`parcomm --list-kernels`): one line per
 /// backend, grouped by phase, names matching the `detect` flag spellings.
-fn print_kernels() {
-    println!("scorers (--scorer):");
+fn print_kernels() -> Result<(), PcdError> {
+    outln!("scorers (--scorer):")?;
     for s in kernel::SCORERS {
-        println!("  {:<18} {}", s.name(), s.description());
+        outln!("  {:<18} {}", s.name(), s.description())?;
     }
-    println!("matchers:");
+    outln!("matchers:")?;
     for m in kernel::MATCHERS {
-        println!("  {:<18} {}", m.name(), m.description());
+        outln!("  {:<18} {}", m.name(), m.description())?;
     }
-    println!("contractors:");
+    outln!("contractors:")?;
     for c in kernel::CONTRACTORS {
-        println!("  {:<18} {}", c.name(), c.description());
+        outln!("  {:<18} {}", c.name(), c.description())?;
     }
+    Ok(())
 }
 
 /// `parcomm --list-kernels --json`: the same inventory as a single JSON
@@ -187,7 +203,7 @@ fn print_kernels() {
 /// the matcher list). Registry names and descriptions are static ASCII
 /// without quotes or backslashes — asserted here so the hand-rolled
 /// serialization stays honest.
-fn print_kernels_json() {
+fn print_kernels_json() -> Result<(), PcdError> {
     fn arr(out: &mut String, key: &str, entries: &[(&str, &str)]) {
         out.push_str(&format!("  \"{key}\": [\n"));
         for (i, (name, desc)) in entries.iter().enumerate() {
@@ -223,7 +239,8 @@ fn print_kernels_json() {
     out.push_str(",\n");
     arr(&mut out, "contractors", &contractors);
     out.push_str("\n}");
-    println!("{out}");
+    outln!("{out}")?;
+    Ok(())
 }
 
 /// Flags that take no value (presence-only switches). Everything else in
@@ -432,15 +449,15 @@ fn cmd_gen(args: &[String]) -> Result<(), PcdError> {
         for (v, &c) in labels.iter().enumerate() {
             writeln!(w, "{v} {c}")?;
         }
-        println!("truth:        {path}");
+        outln!("truth:        {path}")?;
     }
     parcomm::graph::io::save(&graph, &out).map_err(PcdError::from)?;
-    println!(
+    outln!(
         "wrote {} ({} vertices, {} edges)",
         out.display(),
         graph.num_vertices(),
         graph.num_edges()
-    );
+    )?;
     Ok(())
 }
 
@@ -461,6 +478,13 @@ impl LevelObserver for Progress {
         eprintln!("  {phase}: {secs:.3}s");
     }
     fn on_level_end(&mut self, stats: &LevelStats) {
+        let s = &stats.contract_steps;
+        if s.total_secs() > 0.0 {
+            eprintln!(
+                "  contract steps: relabel {:.3}s, scatter {:.3}s, sort {:.3}s, copy {:.3}s",
+                s.relabel_secs, s.scatter_secs, s.sort_secs, s.copy_secs
+            );
+        }
         eprintln!(
             "  -> {} communities, Q {:.4}, coverage {:.3}{}",
             stats.num_vertices - stats.pairs_merged,
@@ -647,41 +671,41 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
     };
     let (r, recorded) = with_pool(threads, run)?;
 
-    println!("communities:  {}", r.num_communities);
-    println!("modularity:   {:.4}", r.modularity);
-    println!("coverage:     {:.3}", r.coverage);
-    println!("levels:       {}", r.levels.len());
-    println!("time:         {:.3}s", r.total_secs);
+    outln!("communities:  {}", r.num_communities)?;
+    outln!("modularity:   {:.4}", r.modularity)?;
+    outln!("coverage:     {:.3}", r.coverage)?;
+    outln!("levels:       {}", r.levels.len())?;
+    outln!("time:         {:.3}s", r.total_secs)?;
     let (s, m, c) = r.phase_totals();
     if s + m + c > 0.0 {
-        println!(
+        outln!(
             "phases:       score {:.0}% / match {:.0}% / contract {:.0}%",
             100.0 * s / (s + m + c),
             100.0 * m / (s + m + c),
             100.0 * c / (s + m + c)
-        );
+        )?;
     }
     if r.termination.is_budget_breach() {
-        println!(
+        outln!(
             "termination:  {} (best-effort partition from {} completed level(s))",
             r.termination,
             r.levels.len()
-        );
+        )?;
     } else if r.termination != Termination::Converged {
-        println!("termination:  {}", r.termination);
+        outln!("termination:  {}", r.termination)?;
     }
     let degraded = r.levels.iter().filter(|l| l.matcher_degraded).count();
     if degraded > 0 {
-        println!(
+        outln!(
             "warning:      matcher watchdog degraded {degraded} level(s) to sequential completion"
-        );
+        )?;
     }
     if let Some(out) = f.get("--assignments") {
         let mut w = std::io::BufWriter::new(std::fs::File::create(out)?);
         for (v, &cid) in r.assignment.iter().enumerate() {
             writeln!(w, "{v} {cid}")?;
         }
-        println!("assignments:  {out}");
+        outln!("assignments:  {out}")?;
     }
     if !matches!(recorded, Recorded::None) {
         let created_unix = std::time::SystemTime::now()
@@ -700,14 +724,14 @@ fn cmd_detect(args: &[String]) -> Result<(), PcdError> {
                 parcomm::trace::metrics_json(reg, path, created_unix)
             };
             std::fs::write(&out, doc)?;
-            println!("metrics:      {out}");
+            outln!("metrics:      {out}")?;
         }
         if let (Some(out), Recorded::Observer(obs)) = (trace_out, &recorded) {
             std::fs::write(
                 &out,
                 parcomm::trace::trace_json(obs.ring(), path, created_unix),
             )?;
-            println!("trace:        {out}");
+            outln!("trace:        {out}")?;
         }
     }
     Ok(())
@@ -729,28 +753,30 @@ fn stats_report(g: &Graph) -> Result<(), PcdError> {
     let d = parcomm::graph::stats::degree_stats(&csr);
     let labels = parcomm::graph::components::components(g);
     let ncomp = parcomm::graph::components::count_components(&labels);
-    println!("vertices:      {}", g.num_vertices());
-    println!("edges:         {}", g.num_edges());
-    println!("total weight:  {}", g.total_weight());
-    println!(
+    outln!("vertices:      {}", g.num_vertices())?;
+    outln!("edges:         {}", g.num_edges())?;
+    outln!("total weight:  {}", g.total_weight())?;
+    outln!(
         "degree:        min {} / mean {:.2} / max {}",
-        d.min, d.mean, d.max
-    );
-    println!("isolated:      {}", d.isolated);
-    println!("components:    {ncomp}");
+        d.min,
+        d.mean,
+        d.max
+    )?;
+    outln!("isolated:      {}", d.isolated)?;
+    outln!("components:    {ncomp}")?;
     let tri = parcomm::graph::triangles::count_triangles(&csr);
     let cc = parcomm::graph::triangles::global_clustering_coefficient(&csr);
-    println!("triangles:     {}", tri.total);
-    println!("clustering:    {cc:.4}");
+    outln!("triangles:     {}", tri.total)?;
+    outln!("clustering:    {cc:.4}")?;
     let hist = parcomm::graph::stats::degree_histogram_log2(&csr);
-    println!("degree histogram (log2 bins):");
+    outln!("degree histogram (log2 bins):")?;
     for (bin, count) in hist.iter().enumerate() {
         if *count > 0 {
-            println!(
+            outln!(
                 "  [{:>6}, {:>6}): {count}",
                 1usize << bin,
                 1usize << (bin + 1)
-            );
+            )?;
         }
     }
     Ok(())
@@ -767,7 +793,7 @@ fn cmd_convert(args: &[String]) -> Result<(), PcdError> {
         .ok_or_else(|| usage("convert: missing output"))?;
     let g = load(input)?;
     parcomm::graph::io::save(&g, std::path::Path::new(output)).map_err(PcdError::from)?;
-    println!("converted {input} -> {output}");
+    outln!("converted {input} -> {output}")?;
     Ok(())
 }
 
@@ -783,34 +809,38 @@ fn cmd_compare(args: &[String]) -> Result<(), PcdError> {
 }
 
 fn compare_report(g: Graph) -> Result<(), PcdError> {
-    println!(
+    outln!(
         "{:<20} {:>8} {:>8} {:>9} {:>9}",
-        "method", "Q", "cover", "#comm", "time"
-    );
+        "method",
+        "Q",
+        "cover",
+        "#comm",
+        "time"
+    )?;
     let report = |label: &str, a: &[u32], secs: f64| {
         let (dense, k) = parcomm::metrics::compact_labels(a);
-        println!(
+        outln!(
             "{:<20} {:>8.4} {:>8.3} {:>9} {:>8.3}s",
             label,
             parcomm::metrics::modularity(&g, &dense),
             parcomm::metrics::coverage(&g, &dense),
             k,
             secs
-        );
+        )
     };
     let t = std::time::Instant::now();
     let r = detect(g.clone(), &Config::default());
-    report("parallel-agglom", &r.assignment, t.elapsed().as_secs_f64());
+    report("parallel-agglom", &r.assignment, t.elapsed().as_secs_f64())?;
     let t = std::time::Instant::now();
     let refined = parcomm::core::refine::refine(&g, &r.assignment, 10);
     report(
         "  + refinement",
         &refined.assignment,
         t.elapsed().as_secs_f64(),
-    );
+    )?;
     let t = std::time::Instant::now();
     let a = parcomm::baseline::louvain(&g);
-    report("louvain (seq)", &a, t.elapsed().as_secs_f64());
+    report("louvain (seq)", &a, t.elapsed().as_secs_f64())?;
     let t = std::time::Instant::now();
     let r = detect(
         g.clone(),
@@ -820,14 +850,14 @@ fn compare_report(g: Graph) -> Result<(), PcdError> {
         "louvain (backend)",
         &r.assignment,
         t.elapsed().as_secs_f64(),
-    );
+    )?;
     let t = std::time::Instant::now();
     let a = parcomm::baseline::label_propagation(&g, 30);
-    report("labelprop", &a, t.elapsed().as_secs_f64());
+    report("labelprop", &a, t.elapsed().as_secs_f64())?;
     if g.num_edges() <= 500_000 {
         let t = std::time::Instant::now();
         let a = parcomm::baseline::cnm(&g);
-        report("cnm", &a, t.elapsed().as_secs_f64());
+        report("cnm", &a, t.elapsed().as_secs_f64())?;
     }
     Ok(())
 }
@@ -852,14 +882,14 @@ fn cmd_seed(args: &[String]) -> Result<(), PcdError> {
         )));
     }
     let c = parcomm::baseline::seed_expand(&g, seed, max_size);
-    println!(
+    outln!(
         "community of vertex {seed}: {} members, conductance {:.4}",
         c.members.len(),
         c.conductance
-    );
+    )?;
     let mut members = c.members;
     members.sort_unstable();
-    println!("{members:?}");
+    outln!("{members:?}")?;
     Ok(())
 }
 
@@ -875,12 +905,14 @@ fn cmd_communities(args: &[String]) -> Result<(), PcdError> {
     with_pool(threads, move || {
         let r = detect(g.clone(), &Config::default());
         let reports = parcomm::metrics::community_reports(&g, &r.assignment);
-        println!(
+        outln!(
             "{} communities, Q = {:.4}, coverage {:.3}; largest {top}:",
-            r.num_communities, r.modularity, r.coverage
-        );
+            r.num_communities,
+            r.modularity,
+            r.coverage
+        )?;
         for rep in parcomm::metrics::largest_communities(&reports, top) {
-            println!("{rep}");
+            outln!("{rep}")?;
         }
         Ok(())
     })

@@ -122,14 +122,14 @@ fn tiny_memory_ceiling_stops_after_one_level() {
 }
 
 #[test]
-fn memory_ceiling_fires_under_radix_kernel() {
-    // The scratch-bytes ledger must account for the radix kernel's extra
-    // arenas (and the vertex-following scratch): a ceiling the bucket
-    // kernel would also breach must still terminate cleanly with a
-    // best-effort partition when the radix contractor owns the hot path.
+fn memory_ceiling_fires_under_bucket_counter_table() {
+    // The scratch-bytes ledger must account for the bucket kernel's
+    // scatter counter table (and the vertex-following scratch): the
+    // ceiling must still terminate cleanly with a best-effort partition
+    // under the racy placement and the map-contraction pre-pass.
     let g = paper_graph();
     let cfg = Config::default()
-        .with_contractor(ContractorKind::Radix)
+        .with_contractor(ContractorKind::BucketFetchAdd)
         .with_vertex_following(true)
         .with_budget(Budget::unarmed().with_max_scratch_bytes(1));
     let r = Detector::new(cfg).unwrap().run(g.clone()).unwrap();

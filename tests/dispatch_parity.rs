@@ -20,10 +20,9 @@ const MATCHERS: [MatcherKind; 5] = [
     MatcherKind::LabelProp,
     MatcherKind::LouvainMove,
 ];
-const CONTRACTORS: [ContractorKind; 5] = [
+const CONTRACTORS: [ContractorKind; 4] = [
     ContractorKind::Bucket,
     ContractorKind::BucketFetchAdd,
-    ContractorKind::Radix,
     ContractorKind::Linked,
     ContractorKind::Sequential,
 ];
@@ -193,11 +192,10 @@ fn warm_engine_across_different_graphs_matches_fresh_engines() {
     }
 }
 
-/// Inputs chosen to stress the radix contractor off its delegation path
-/// (> `RADIX_FALLBACK_EDGES` edges): a hub star (one giant row), a dense
-/// parallel-edge multigraph (long per-row duplicate runs), an R-MAT graph
-/// big enough to stay above the fallback cutoff for several levels, and
-/// degenerate empties.
+/// Inputs chosen to stress the bucket contractor's scatter and long-row
+/// sort: a hub star (one giant row), a dense parallel-edge multigraph
+/// (long per-row duplicate runs), an R-MAT graph with long rows for
+/// several levels, and degenerate empties.
 fn adversarial_graphs() -> Vec<(String, Graph)> {
     let star_edges: Vec<(u32, u32, u64)> = (1..=5000u32).map(|v| (0, v, 1)).collect();
     let star = parcomm::graph::builder::from_edges(5001, star_edges);
@@ -228,18 +226,20 @@ fn adversarial_graphs() -> Vec<(String, Graph)> {
 }
 
 #[test]
-fn radix_contractor_is_bit_identical_to_bucket_on_adversarial_graphs() {
+fn bucket_contractor_is_bit_identical_to_sequential_on_adversarial_graphs() {
     for (name, g) in adversarial_graphs() {
         for vf in [false, true] {
             let base = Config::default()
                 .with_recorded_levels()
                 .with_vertex_following(vf);
-            let bucket = detect(
+            let oracle = detect(
                 g.clone(),
-                &base.clone().with_contractor(ContractorKind::Bucket),
+                &base.clone().with_contractor(ContractorKind::Sequential),
             );
-            let radix = detect(g.clone(), &base.with_contractor(ContractorKind::Radix));
-            assert_same(&bucket, &radix, &format!("{name} (vf={vf})"));
+            for kind in [ContractorKind::Bucket, ContractorKind::BucketFetchAdd] {
+                let bucket = detect(g.clone(), &base.clone().with_contractor(kind));
+                assert_same(&oracle, &bucket, &format!("{name} {kind:?} (vf={vf})"));
+            }
         }
     }
 }

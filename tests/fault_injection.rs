@@ -16,7 +16,7 @@ fn test_graph() -> Graph {
 
 /// CI's budget-faults matrix re-runs this whole wall once per contraction
 /// kernel: `PARCOMM_TEST_CONTRACTOR=<name>` (any `--list-kernels`
-/// spelling, e.g. `radix`) swaps the contractor every test here
+/// spelling, e.g. `bucket-fetch-add`) swaps the contractor every test here
 /// dispatches through; unset runs the default bucket kernel. The guards
 /// under test sit outside the contractors, so every kernel must convert
 /// the same faults into the same structured errors.

@@ -26,6 +26,41 @@ fn level_prefixes_are_consistent() {
 }
 
 #[test]
+fn contract_step_timings_fit_inside_the_contract_phase() {
+    // Each level's relabel/scatter/sort/copy seconds (paper sec. IV-C) are
+    // non-negative and sum to at most the phase they split; contractors
+    // outside the bucket pipeline report zeros, and the vertex-following
+    // pre-pass (no level of its own) leaks into no level's row.
+    let g = parcomm::gen::rmat_graph(&parcomm::gen::RmatParams::paper(11, 3));
+    for (kind, vf) in [
+        (ContractorKind::Bucket, false),
+        (ContractorKind::BucketFetchAdd, true),
+        (ContractorKind::Linked, true),
+    ] {
+        let cfg = Config::default()
+            .with_contractor(kind)
+            .with_vertex_following(vf);
+        let r = detect(g.clone(), &cfg);
+        assert!(!r.levels.is_empty());
+        for l in &r.levels {
+            let s = &l.contract_steps;
+            for x in [s.relabel_secs, s.scatter_secs, s.sort_secs, s.copy_secs] {
+                assert!(x >= 0.0, "{kind:?} level {}: {s:?}", l.level);
+            }
+            assert!(
+                s.total_secs() <= l.contract_secs,
+                "{kind:?} level {}: {s:?} > {}",
+                l.level,
+                l.contract_secs
+            );
+            if kind == ContractorKind::Linked {
+                assert_eq!(s.total_secs(), 0.0, "level {}", l.level);
+            }
+        }
+    }
+}
+
+#[test]
 fn assignment_matches_community_graph() {
     // Modularity computed from the original graph + assignment must equal
     // modularity of the final community graph: the hierarchy bookkeeping

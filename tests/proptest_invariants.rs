@@ -1,7 +1,7 @@
 //! Property-based tests over the core invariants, on arbitrary random
 //! multigraphs (duplicates, self-loops, weights included).
 
-use parcomm::contract::{bucket, edge_fingerprint, linked, radix, seq as cseq, Placement};
+use parcomm::contract::{bucket, edge_fingerprint, linked, seq as cseq, Placement};
 use parcomm::core::{score_all_into, ScoreContext, ScorerKind};
 use parcomm::graph::{builder, components};
 use parcomm::matching::{edge_sweep, parallel, seq as mseq, verify::verify_matching};
@@ -164,21 +164,25 @@ fn detection_never_panics_and_is_consistent() {
 }
 
 #[test]
-fn radix_contractor_agrees_with_bucket() {
-    check_cases("radix_contractor_agrees_with_bucket", CASES, |rng| {
+fn bucket_contractor_is_bit_identical_to_seq() {
+    check_cases("bucket_contractor_is_bit_identical_to_seq", CASES, |rng| {
         let (nv, edges) = arb_graph_input(rng);
         let g = builder::from_edges(nv, edges);
         let ctx = ScoreContext::new(&g);
         let scores = score_all(ScorerKind::Modularity, &g, &ctx);
         let m = parallel::match_unmatched_list(&g, &scores);
 
-        let a = bucket::contract_with_policy(&g, &m, Placement::PrefixSum);
-        let r = radix::contract(&g, &m);
-        assert_eq!(edge_fingerprint(&a.graph), edge_fingerprint(&r.graph));
-        assert_eq!(a.graph.self_loops(), r.graph.self_loops());
-        assert_eq!(a.num_new, r.num_new);
-        assert_eq!(r.graph.total_weight(), g.total_weight());
-        assert_eq!(r.graph.validate(), Ok(()));
+        // The oracle builds through `from_edges`, so layout and all.
+        let s = cseq::contract_seq(&g, &m);
+        for placement in [Placement::PrefixSum, Placement::FetchAdd] {
+            let b = bucket::contract_with_policy(&g, &m, placement);
+            assert_eq!(b.graph.srcs(), s.graph.srcs(), "{placement:?}");
+            assert_eq!(b.graph.dsts(), s.graph.dsts(), "{placement:?}");
+            assert_eq!(b.graph.weights(), s.graph.weights(), "{placement:?}");
+            assert_eq!(b.graph.self_loops(), s.graph.self_loops(), "{placement:?}");
+            assert_eq!(b.new_of_old, s.new_of_old, "{placement:?}");
+            assert_eq!(b.graph.validate(), Ok(()));
+        }
     });
 }
 

@@ -110,7 +110,6 @@ fn reuse_matches_fresh_across_kernels() {
         for cfg in [
             Config::default().with_scorer(ScorerKind::HeavyEdge),
             Config::default().with_contractor(ContractorKind::BucketFetchAdd),
-            Config::default().with_contractor(ContractorKind::Radix),
             Config::default().with_matcher(MatcherKind::LabelProp),
             Config::default().with_matcher(MatcherKind::LouvainMove),
             Config::default()

@@ -1,7 +1,7 @@
 //! Sharded parity: the WCC-sharded pipeline (decompose → per-component
 //! warm engines → deterministic merge) must be bit-identical, component
 //! by component, to whole-graph detection on each *extracted* component
-//! — for bucket and radix contractor kernels and for every pool size.
+//! — for both bucket placements and for every pool size.
 //! The comparison is deliberately per-component: a component detected
 //! solo sees its own total weight in the modularity normalizer, so the
 //! whole-graph partition may legitimately differ, but detection on
@@ -15,7 +15,7 @@ use parcomm::prelude::*;
 use parcomm::util::pool::with_threads;
 
 const POOLS: [usize; 3] = [1, 2, 8];
-const CONTRACTORS: [ContractorKind; 2] = [ContractorKind::Bucket, ContractorKind::Radix];
+const CONTRACTORS: [ContractorKind; 2] = [ContractorKind::Bucket, ContractorKind::BucketFetchAdd];
 
 /// Bit-exact equality on every non-timing field.
 fn assert_same(a: &DetectionResult, b: &DetectionResult, what: &str) {

@@ -61,8 +61,6 @@ pub(crate) const API_LOCK: &str = "API.lock";
 pub(crate) const WAIVER_BUDGETS: &[(&str, &str, usize)] = &[
     ("crates/baseline/src/labelprop.rs", "panic", 2),
     ("crates/bench/src/sweep.rs", "panic", 2),
-    ("crates/contract/src/bucket.rs", "alloc", 5),
-    ("crates/contract/src/radix.rs", "alloc", 5),
     ("crates/core/src/budget.rs", "panic", 1),
     ("crates/core/src/driver.rs", "panic", 1),
     ("crates/core/src/engine.rs", "panic", 2),

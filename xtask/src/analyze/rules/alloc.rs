@@ -27,7 +27,6 @@ use crate::analyze::{FileCtx, Violation};
 /// them would bury the signal under blanket waivers.
 pub(crate) const HOT_FILES: &[&str] = &[
     "crates/contract/src/bucket.rs",
-    "crates/contract/src/radix.rs",
     "crates/core/src/follow.rs",
     "crates/core/src/louvain.rs",
     "crates/core/src/scorer.rs",

@@ -3,8 +3,8 @@
 //! Drives `bench_gate` (crates/bench/src/bin/bench_gate.rs), validates the
 //! emitted `parcomm-bench-v3` report against the expected schema (v2
 //! reports, which predate the `quality` section, and v1 reports, which
-//! additionally predate the `contract-radix` arm and the host
-//! `rayon_threads` field, still load as comparison baselines), and
+//! additionally predate the host `rayon_threads` field, still load as
+//! comparison baselines), and
 //! compares it with the previous checked-in `BENCH_*.json`: any
 //! (instance, threads, arm) cell whose median end-to-end time regressed by
 //! more than the configured threshold fails the gate. Comparing reports
@@ -36,7 +36,6 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
     let mut threshold = DEFAULT_THRESHOLD;
     let mut max_observed_overhead: Option<f64> = None;
     let mut max_budget_overhead: Option<f64> = None;
-    let mut min_contract_speedup: Option<f64> = None;
     let mut min_sharded_speedup: Option<f64> = None;
     let mut max_sharded_overhead: Option<f64> = None;
     let mut min_quality_ratio: Option<f64> = None;
@@ -73,13 +72,6 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
                         val("--max-budget-overhead")?
                             .parse()
                             .map_err(|_| "bad --max-budget-overhead".to_string())?,
-                    );
-                }
-                "--min-contract-speedup" => {
-                    min_contract_speedup = Some(
-                        val("--min-contract-speedup")?
-                            .parse()
-                            .map_err(|_| "bad --min-contract-speedup".to_string())?,
                     );
                 }
                 "--min-sharded-speedup" => {
@@ -130,12 +122,6 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
     }
     if max_budget_overhead.is_some_and(|l| l < 1.0) {
         eprintln!("xtask bench: --max-budget-overhead is a ratio >= 1.0 (e.g. 1.01 allows +1%)");
-        return ExitCode::FAILURE;
-    }
-    if min_contract_speedup.is_some_and(|l| l < 1.0) {
-        eprintln!(
-            "xtask bench: --min-contract-speedup is a ratio >= 1.0 (e.g. 1.2 demands 20% faster)"
-        );
         return ExitCode::FAILURE;
     }
     if min_sharded_speedup.is_some_and(|l| l <= 0.0) {
@@ -194,10 +180,6 @@ pub(crate) fn run(args: &[String]) -> ExitCode {
         smoke,
     ) {
         eprintln!("xtask bench: budgeted-unarmed arm exceeds --max-budget-overhead");
-        return ExitCode::FAILURE;
-    }
-    if !contract_speedup_ok(&report.cells, min_contract_speedup, smoke) {
-        eprintln!("xtask bench: contract-radix arm falls short of --min-contract-speedup");
         return ExitCode::FAILURE;
     }
     if !sharded_speedup_ok(&report.cells, min_sharded_speedup, smoke) {
@@ -271,7 +253,7 @@ fn usage() {
     eprintln!(
         "usage: cargo xtask bench [--smoke] [--skip-run] [--alloc-stats] \
          [--threshold 1.15] [--max-observed-overhead 1.02] \
-         [--max-budget-overhead 1.01] [--min-contract-speedup 1.2] \
+         [--max-budget-overhead 1.01] \
          [--min-sharded-speedup 1.1] [--max-sharded-overhead 1.01] \
          [--min-quality-ratio 0.95] [--out FILE] \
          [--baseline FILE] [--scale N] [--sbm-vertices N] [--threads 1,2,8] \
@@ -308,44 +290,6 @@ fn warn_thread_mismatch(new: &Report, old: &Report) -> bool {
     eprintln!("xtask bench: at different widths and are advisory at best.");
     eprintln!("xtask bench: ********************************************************");
     false
-}
-
-/// Prints the contract-phase speedup of the `contract-radix` arm over
-/// the `reuse` (bucket-kernel) arm for every (instance, threads) pair
-/// carrying both, and gates the pooled geometric mean against `limit`
-/// (a minimum: the pool must be at least `limit`x faster). Pooled for
-/// the same reason as [`overhead_ok`]: the kernels do identical
-/// per-level work on every instance, so the cells are replicates of one
-/// quantity. Smoke-mode timings carry no signal and never gate.
-fn contract_speedup_ok(report: &[Cell], limit: Option<f64>, smoke: bool) -> bool {
-    let mut speedups = Vec::new();
-    for cell in report.iter().filter(|c| c.arm == "contract-radix") {
-        let plain = report
-            .iter()
-            .find(|c| c.arm == "reuse" && c.instance == cell.instance && c.threads == cell.threads);
-        let Some(plain) = plain else { continue };
-        if cell.contract_secs <= 0.0 || plain.contract_secs <= 0.0 {
-            continue;
-        }
-        let speedup = plain.contract_secs / cell.contract_secs;
-        println!(
-            "  {:28} t={:<2} contract radix speedup {speedup:.2}x \
-             ({:.4}s -> {:.4}s)",
-            cell.instance, cell.threads, plain.contract_secs, cell.contract_secs
-        );
-        speedups.push(speedup);
-    }
-    if speedups.is_empty() {
-        return true;
-    }
-    let mean = (speedups.iter().map(|r| r.ln()).sum::<f64>() / speedups.len() as f64).exp();
-    let under = !smoke && limit.is_some_and(|l| mean < l);
-    println!(
-        "  contract-radix speedup geometric mean over {} cell(s): {mean:.2}x{}",
-        speedups.len(),
-        if under { "  UNDER TARGET" } else { "" }
-    );
-    !under
 }
 
 /// End-to-end speedup of the `sharded` arm over `reuse` on the
@@ -597,10 +541,6 @@ pub(crate) struct Cell {
     pub threads: u64,
     pub arm: String,
     pub median_secs: f64,
-    /// Contract-phase seconds of the cell's measured run — what the
-    /// `--min-contract-speedup` gate compares between the
-    /// `contract-radix` and `reuse` arms.
-    pub contract_secs: f64,
     /// Ratio of this arm's and the reuse arm's fastest samples, emitted
     /// by bench_gate on `observed` and `budgeted-unarmed` cells only.
     /// Preferred by the overhead gate over a ratio of independent medians
@@ -661,7 +601,7 @@ pub(crate) fn validate_report(json: &Json) -> Result<Report, String> {
     let version = match schema {
         "parcomm-bench-v3" => 3,
         // v2 reports predate the quality section; v1 additionally
-        // predates the contract-radix arm and host.rayon_threads. Both
+        // predates host.rayon_threads. Both
         // stay loadable so previous PRs' BENCH_*.json work as comparison
         // baselines.
         "parcomm-bench-v2" => 2,
@@ -722,6 +662,8 @@ pub(crate) fn validate_report(json: &Json) -> Result<Report, String> {
             "fresh",
             "observed",
             "budgeted-unarmed",
+            // Retired with the radix contractor; still present in older
+            // checked-in baselines.
             "contract-radix",
             "sharded",
             "batch-warm",
@@ -734,10 +676,16 @@ pub(crate) fn validate_report(json: &Json) -> Result<Report, String> {
             ));
         }
         let threads = o_num(o, "threads")? as u64;
-        for k in ["runs", "score_secs", "match_secs", "levels", "modularity"] {
+        for k in [
+            "runs",
+            "score_secs",
+            "match_secs",
+            "contract_secs",
+            "levels",
+            "modularity",
+        ] {
             o_num(o, k)?;
         }
-        let contract_secs = o_num(o, "contract_secs")?;
         for k in ["peak_rss_bytes", "allocations"] {
             let v = get(o, k)?;
             if !matches!(v, Json::Null) && v.as_f64().is_none() {
@@ -782,7 +730,6 @@ pub(crate) fn validate_report(json: &Json) -> Result<Report, String> {
             threads,
             arm,
             median_secs: median,
-            contract_secs,
             overhead_vs_reuse,
         });
     }
@@ -1110,7 +1057,6 @@ mod tests {
         assert_eq!(cells[0].threads, 2);
         assert_eq!(cells[0].arm, "reuse");
         assert_eq!(cells[0].median_secs, 1.0);
-        assert_eq!(cells[0].contract_secs, 0.3);
     }
 
     #[test]
@@ -1130,7 +1076,7 @@ mod tests {
 
     #[test]
     fn v1_reports_stay_loadable_as_baselines() {
-        // A pre-radix report: v1 schema, no host.rayon_threads. It must
+        // A v1 report: no host.rayon_threads. It must
         // load (previous PRs' BENCH_*.json are comparison baselines)...
         let v1 = GOOD
             .replace("parcomm-bench-v2", "parcomm-bench-v1")
@@ -1171,50 +1117,11 @@ mod tests {
     }
 
     #[test]
-    fn contract_radix_arm_is_valid_and_speedup_is_gated() {
+    fn retired_contract_radix_arm_still_loads() {
+        // BENCH_pr8..pr10.json carry this arm; they stay usable baselines.
         let radix = GOOD.replace("\"reuse\"", "\"contract-radix\"");
         let report = validate_report(&parse_json(&radix).unwrap()).unwrap();
         assert_eq!(report.cells[0].arm, "contract-radix");
-        let mk = |arm: &str, contract_secs: f64| Cell {
-            instance: "g".into(),
-            threads: 1,
-            arm: arm.into(),
-            median_secs: 1.0,
-            contract_secs,
-            overhead_vs_reuse: None,
-        };
-        // 1.5x faster contract phase: passes a 1.2x floor, fails 1.6x.
-        let pair = vec![mk("reuse", 0.3), mk("contract-radix", 0.2)];
-        assert!(contract_speedup_ok(&pair, None, false));
-        assert!(contract_speedup_ok(&pair, Some(1.2), false));
-        assert!(!contract_speedup_ok(&pair, Some(1.6), false));
-        // Smoke-mode timings never gate; a lone arm has nothing to check;
-        // zero-second phases (empty instances) are skipped, not divided by.
-        assert!(contract_speedup_ok(&pair, Some(1.6), true));
-        assert!(contract_speedup_ok(&pair[1..], Some(1.6), false));
-        let degenerate = vec![mk("reuse", 0.0), mk("contract-radix", 0.0)];
-        assert!(contract_speedup_ok(&degenerate, Some(1.6), false));
-        // The pooled geometric mean decides: one fast cell, one slow.
-        let mut four = vec![mk("reuse", 0.4), mk("contract-radix", 0.2)];
-        four.push(Cell {
-            instance: "h".into(),
-            threads: 1,
-            arm: "reuse".into(),
-            median_secs: 1.0,
-            contract_secs: 0.2,
-            overhead_vs_reuse: None,
-        });
-        four.push(Cell {
-            instance: "h".into(),
-            threads: 1,
-            arm: "contract-radix".into(),
-            median_secs: 1.0,
-            contract_secs: 0.2,
-            overhead_vs_reuse: None,
-        });
-        // geomean(2.0, 1.0) = 1.41x: over a 1.3 floor, under 1.5.
-        assert!(contract_speedup_ok(&four, Some(1.3), false));
-        assert!(!contract_speedup_ok(&four, Some(1.5), false));
     }
 
     #[test]
@@ -1237,7 +1144,6 @@ mod tests {
             threads: 1,
             arm: arm.into(),
             median_secs,
-            contract_secs: 0.1,
             overhead_vs_reuse: None,
         };
         // One union cell 1.5x faster, one connected ring cell 0.5% slower.
@@ -1381,7 +1287,6 @@ mod tests {
             threads: 1,
             arm: arm.into(),
             median_secs,
-            contract_secs: 0.1,
             overhead_vs_reuse: None,
         };
         let pair = vec![mk("reuse", 1.0), mk("observed", 1.05)];
@@ -1405,7 +1310,6 @@ mod tests {
             threads: 1,
             arm: arm.into(),
             median_secs,
-            contract_secs: 0.1,
             overhead_vs_reuse: None,
         };
         // A slow observed arm must not fail the budget gate, and vice
@@ -1438,7 +1342,6 @@ mod tests {
             threads: 1,
             arm: arm.into(),
             median_secs: 1.0,
-            contract_secs: 0.1,
             overhead_vs_reuse: overhead,
         };
         // One cell 3% over, one 1% under: the pooled mean (~1.0098x) is
@@ -1467,7 +1370,6 @@ mod tests {
             threads: 1,
             arm: arm.into(),
             median_secs,
-            contract_secs: 0.1,
             overhead_vs_reuse: overhead,
         };
         // Medians 10% apart (drift), but the paired per-round ratio says
